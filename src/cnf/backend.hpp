@@ -86,6 +86,21 @@ public:
     [[nodiscard]] virtual std::string name() const = 0;
 };
 
+/// Allocate a literal that an objective wants false — a free VSS border, a
+/// totalizer output — as the negation of a fresh variable.
+///
+/// Contract relied on: the internal CDCL solver decides a fresh variable
+/// *true* first (SolverOptions::defaultPolarity = false seeds the saved phase
+/// with 0, and Solver::pickBranchLiteral then returns the positive literal).
+/// The returned literal is therefore tried false until phase saving or
+/// propagation says otherwise, so a minimization's first model starts near
+/// the optimum instead of with every objective literal raised. Only the sign
+/// differs from Literal::positive(addVariable()): variables, clauses and
+/// verdicts are unchanged (docs/ENCODING.md §7).
+[[nodiscard]] inline Literal addFalseFirstLiteral(SatBackend& backend) {
+    return Literal::negative(backend.addVariable());
+}
+
 /// Create the built-in CDCL backend.
 [[nodiscard]] std::unique_ptr<SatBackend> makeInternalBackend();
 

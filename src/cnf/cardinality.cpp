@@ -17,7 +17,9 @@ std::vector<Literal> mergeSums(SatBackend& backend, const std::vector<Literal>& 
     std::vector<Literal> result;
     result.reserve(na + nb);
     for (std::size_t i = 0; i < na + nb; ++i) {
-        result.push_back(Literal::positive(backend.addVariable()));
+        // False-first: an output decided true would raise inputs through
+        // direction 2 (see addFalseFirstLiteral).
+        result.push_back(addFalseFirstLiteral(backend));
     }
     // Direction 1: lower bounds propagate up.
     for (std::size_t i = 0; i <= na; ++i) {

@@ -19,6 +19,10 @@ namespace etcs::cnf {
 /// After construction, output(i) is a literal that is true iff at least i+1
 /// of the inputs are true (both implication directions are encoded, so the
 /// outputs are exact and usable for at-most and at-least bounds alike).
+/// Outputs are allocated false-first (addFalseFirstLiteral): an output
+/// decided true would raise inputs through the exact downward clauses, so a
+/// minimization over the outputs starts from few true inputs
+/// (docs/ENCODING.md §7).
 class Totalizer {
 public:
     /// Build the totalizer tree; adds O(n log n) variables/clauses.

@@ -93,7 +93,8 @@ void Encoder::createBorderVariables(const VssLayout* fixedLayout) {
         if (graph.node(SegNodeId(n)).fixedBorder) {
             continue;  // constant true
         }
-        const Literal lit = Literal::positive(backend_->addVariable());
+        // False-first, so the border minimization starts from few borders.
+        const Literal lit = cnf::addFalseFirstLiteral(*backend_);
         borderLiteral_[n] = lit;
         freeBorderLiterals_.push_back(lit);
         freeBorderNodes_.push_back(SegNodeId(n));

@@ -8,6 +8,8 @@
 ///    outside the cone is constant false.
 ///  * border[v]         — candidate node v is a VSS border (free-layout
 ///    mode only; in fixed-layout mode borders are compile-time constants).
+///    Allocated false-first (cnf::addFalseFirstLiteral) so the border
+///    minimization starts from few borders (docs/ENCODING.md §7).
 ///  * done[r][t]        — run r has left the network by step t (monotone).
 ///  * chain selectors   — one auxiliary per admissible chain per step for
 ///    trains longer than one segment (the Tseitin refinement of the paper's
@@ -119,7 +121,8 @@ public:
     [[nodiscard]] Literal horizonGuardLiteral() const noexcept { return horizonGuard_; }
 
     /// Free border literals (free-layout mode), for the minimization
-    /// objective min sum(border_v).
+    /// objective min sum(border_v). Each is the negation of a fresh variable,
+    /// so the solver tries it false first.
     [[nodiscard]] std::span<const Literal> freeBorderLiterals() const noexcept {
         return freeBorderLiterals_;
     }

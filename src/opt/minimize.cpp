@@ -94,11 +94,13 @@ MinimizeResult minimizeImpl(SatBackend& backend, std::span<const Literal> soft,
     const Totalizer totalizer(backend, totalizerInputs);
     const int maxTotal = static_cast<int>(totalizerInputs.size());
 
+    bool lastProbeSat = false;
     auto solveAtMost = [&](int k) {
         ++result.solveCalls;
         assumptions.resize(alwaysAssume.size());
         assumptions.push_back(totalizer.atMostAssumption(static_cast<std::size_t>(k)));
         const bool sat = backend.solve(assumptions) == SolveStatus::Sat;
+        lastProbeSat = sat;
         recordBoundProbe("opt.tighten_bound", k, sat);
         if (sat) {
             recordIncumbent(weightedCount(backend, soft, weights));
@@ -147,9 +149,16 @@ MinimizeResult minimizeImpl(SatBackend& backend, std::span<const Literal> soft,
     }
     result.optimum = incumbent;
 
-    // Leave the backend's model at an optimal assignment. (The last solve of
-    // the search may have been UNSAT, which clobbers no model, but be
-    // explicit so callers can always decode right after return.)
+    // Every strategy that ends on a SAT probe ends on a model counting the
+    // optimum (LinearDown reaching 0, LinearUp's ascent, Binary's last
+    // bisection step), so the backend is already where callers decode.
+    if (lastProbeSat) {
+        return result;
+    }
+    // After a final UNSAT probe, re-solve at the optimum so callers can
+    // decode right after return: the backend's current model may be stale
+    // (the portfolio reads the last solve's winner, and a CEGAR session's
+    // inner model may be a rejected candidate).
     bool ok = false;
     if (incumbent < maxTotal) {
         ok = solveAtMost(incumbent);

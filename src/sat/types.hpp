@@ -143,7 +143,10 @@ struct SolverOptions {
                                        ///< it to force reductions on small inputs).
     double learntSizeIncrement = 1.1;  ///< DB limit growth per reduction.
     std::int64_t conflictLimit = -1;   ///< stop after this many conflicts (<0: off).
-    bool defaultPolarity = false;      ///< polarity used before phase saving kicks in.
+    bool defaultPolarity = false;      ///< saved phase of a fresh variable, as a sign:
+                                       ///< false decides the positive literal first,
+                                       ///< and an unconstrained variable comes out true
+                                       ///< (cnf::addFalseFirstLiteral relies on it).
     std::uint64_t progressInterval = 16384;  ///< conflicts between onProgress calls.
     ProgressCallback onProgress;       ///< progress/cancellation hook (may be empty).
 

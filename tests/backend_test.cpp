@@ -45,6 +45,28 @@ TEST(Backend, ContractBasics) {
     }
 }
 
+/// addFalseFirstLiteral's literals start false on the internal backend: an
+/// unconstrained one comes out false, and a clause over several of them is
+/// satisfied by raising just one.
+TEST(Backend, FalseFirstLiteralsStartFalseOnTheInternalBackend) {
+    const auto backend = makeInternalBackend();
+    std::vector<Literal> lits;
+    for (int i = 0; i < 6; ++i) {
+        lits.push_back(addFalseFirstLiteral(*backend));
+    }
+    EXPECT_EQ(backend->numVariables(), 6);
+    backend->addClause({lits[3], lits[4], lits[5]});
+    ASSERT_EQ(backend->solve(), SolveStatus::Sat);
+    int raised = 0;
+    for (std::size_t i = 0; i < lits.size(); ++i) {
+        if (i < 3) {
+            EXPECT_FALSE(backend->modelValue(lits[i])) << "literal " << i;
+        }
+        raised += backend->modelValue(lits[i]) ? 1 : 0;
+    }
+    EXPECT_EQ(raised, 1);
+}
+
 TEST(Backend, CrossCheckOnRandomFormulas) {
     const auto factories = availableBackends();
     if (factories.size() < 2) {

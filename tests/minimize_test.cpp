@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <random>
+#include <string>
+#include <vector>
 
 #include "cnf/backend.hpp"
 #include "opt/minimize.hpp"
@@ -249,6 +251,53 @@ TEST(Minimize, SkipsRedundantTrailingResolve) {
         EXPECT_EQ(result.index, 1);
         EXPECT_EQ(result.solveCalls, 3U);
         EXPECT_TRUE(backend->modelValue(y[1]));
+    }
+}
+
+/// Regression: minimizeTrueLiterals must not re-solve at the optimum when
+/// the search's final probe already was SAT there, and must still re-solve
+/// after a final UNSAT probe. Either way the model left behind counts the
+/// optimum.
+TEST(Minimize, SkipsRedundantTrailingResolveInBorderSearch) {
+    struct Case {
+        SearchStrategy strategy;
+        bool covering;  ///< three disjoint demands (optimum 3), else none (0)
+        std::uint64_t solveCalls;
+    };
+    const Case cases[] = {
+        // Five free literals: every strategy ends on a SAT probe at 0, so
+        // none re-solves. LinearDown: first solve, atMost(4), atMost(0).
+        // LinearUp: first solve, atMost(0). Binary: first solve, atMost(2),
+        // atMost(0).
+        {SearchStrategy::LinearDown, false, 3U},
+        {SearchStrategy::LinearUp, false, 2U},
+        {SearchStrategy::Binary, false, 3U},
+        // Three disjoint demands: LinearDown and Binary end on the UNSAT
+        // atMost(2) and re-solve at 3; LinearUp ends SAT at atMost(3) after
+        // UNSAT at 0, 1 and 2.
+        {SearchStrategy::LinearDown, true, 4U},
+        {SearchStrategy::LinearUp, true, 5U},
+        {SearchStrategy::Binary, true, 5U},
+    };
+    for (const Case& c : cases) {
+        SCOPED_TRACE(std::string(toString(c.strategy)) + (c.covering ? ", covering" : ", free"));
+        const auto backend = cnf::makeInternalBackend();
+        const auto soft = makeInputs(*backend, c.covering ? 6 : 5);
+        if (c.covering) {
+            backend->addClause({soft[0], soft[1]});
+            backend->addClause({soft[2], soft[3]});
+            backend->addClause({soft[4], soft[5]});
+        }
+        const int optimum = c.covering ? 3 : 0;
+        const auto result = minimizeTrueLiterals(*backend, soft, c.strategy);
+        ASSERT_TRUE(result.feasible);
+        EXPECT_EQ(result.optimum, optimum);
+        EXPECT_EQ(result.solveCalls, c.solveCalls);
+        int count = 0;
+        for (Literal l : soft) {
+            count += backend->modelValue(l) ? 1 : 0;
+        }
+        EXPECT_EQ(count, optimum);
     }
 }
 

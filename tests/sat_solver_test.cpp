@@ -2,6 +2,8 @@
 // assumptions, cores, and option behaviour.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "sat/solver.hpp"
 
 namespace etcs::sat {
@@ -23,6 +25,22 @@ TEST(Literal, Encoding) {
 TEST(Solver, EmptyFormulaIsSat) {
     Solver s;
     EXPECT_EQ(s.solve(), SolveStatus::Sat);
+}
+
+/// The first-decision contract cnf::addFalseFirstLiteral relies on: with the
+/// default options a fresh variable is decided true first, so unconstrained
+/// variables come out true in the model.
+TEST(Solver, FreshUnconstrainedVariablesComeOutTrue) {
+    Solver s;
+    ASSERT_FALSE(s.options().defaultPolarity);
+    std::vector<Var> vars;
+    for (int i = 0; i < 8; ++i) {
+        vars.push_back(s.addVariable());
+    }
+    ASSERT_EQ(s.solve(), SolveStatus::Sat);
+    for (const Var v : vars) {
+        EXPECT_EQ(s.modelValue(v), Value::True) << "variable " << v;
+    }
 }
 
 TEST(Solver, SingleUnit) {

@@ -2,6 +2,8 @@
 // of the paper's Table I.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "core/tasks.hpp"
 #include "core/validator.hpp"
 #include "studies/studies.hpp"
@@ -79,6 +81,46 @@ TEST(Studies, RunningExampleOptimizationImprovesArrivals) {
         originalLatest = std::max(originalLatest, *run.destination().arrivalStep);
     }
     EXPECT_LT(optimization.completionSteps - 1, originalLatest);
+}
+
+/// Table I answers and the solve-call budget of border minimization. The
+/// objective literals start false (cnf::addFalseFirstLiteral), so each
+/// minimization opens near its optimum: generation takes 6/5/7/4 calls and
+/// optimization 9/14/8/14. The budgets allow about twice that and stay below
+/// the counts of positive-first objective literals (generation
+/// 9/41/106/146, optimization 13/44/109/151), which replay the previous model
+/// and lower the border count by one per call.
+TEST(Studies, TableISolveCallBudget) {
+    struct Row {
+        studies::CaseStudy (*make)();
+        int generateSections;
+        int optimizeSteps;
+        int optimizeSections;
+        std::uint64_t generateBudget;
+        std::uint64_t optimizeBudget;
+    };
+    const Row rows[] = {
+        {studies::runningExample, 5, 9, 5, 8, 12},
+        {studies::simpleLayout, 12, 17, 11, 12, 20},
+        {studies::complexLayout, 23, 15, 22, 12, 20},
+        {studies::nordlandsbanen, 52, 41, 52, 12, 20},
+    };
+    for (const Row& row : rows) {
+        const auto study = row.make();
+        SCOPED_TRACE(study.name);
+        const Instance timed(study.network, study.trains, study.timedSchedule, study.resolution);
+        const auto generation = generateLayout(timed);
+        ASSERT_TRUE(generation.feasible);
+        EXPECT_EQ(generation.sectionCount, row.generateSections);
+        EXPECT_LE(generation.stats.solveCalls, row.generateBudget);
+
+        const Instance open(study.network, study.trains, study.openSchedule, study.resolution);
+        const auto optimization = optimizeSchedule(open);
+        ASSERT_TRUE(optimization.feasible);
+        EXPECT_EQ(optimization.completionSteps, row.optimizeSteps);
+        EXPECT_EQ(optimization.sectionCount, row.optimizeSections);
+        EXPECT_LE(optimization.stats.solveCalls, row.optimizeBudget);
+    }
 }
 
 TEST(Studies, NordlandsbanenHas58StationsAnd822Km) {
