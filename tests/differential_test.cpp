@@ -23,6 +23,7 @@
 #include "sat/solver.hpp"
 #include "studies/studies.hpp"
 #include "support/formula_helpers.hpp"
+#include "support/paper_layouts.hpp"
 #include "support/test_seed.hpp"
 
 namespace etcs::sat {
@@ -30,6 +31,7 @@ namespace {
 
 using etcs::test::makeRandomFormula;
 using etcs::test::modelSatisfies;
+using etcs::test::PaperLayout;
 using etcs::test::pigeonhole;
 using etcs::test::proofCertifies;
 
@@ -251,11 +253,10 @@ EncodedInstance encodeStudy(const studies::CaseStudy& study) {
     return out;
 }
 
-class EncoderDifferentialTest
-    : public ::testing::TestWithParam<studies::CaseStudy (*)()> {};
+class EncoderDifferentialTest : public ::testing::TestWithParam<PaperLayout> {};
 
 TEST_P(EncoderDifferentialTest, VerdictsMatchAndProofsCertify) {
-    const studies::CaseStudy study = GetParam()();
+    const studies::CaseStudy study = GetParam().make();
     SCOPED_TRACE(study.name);
     const EncodedInstance encoded = encodeStudy(study);
 
@@ -285,8 +286,7 @@ TEST_P(EncoderDifferentialTest, VerdictsMatchAndProofsCertify) {
 }
 
 INSTANTIATE_TEST_SUITE_P(PaperLayouts, EncoderDifferentialTest,
-                         ::testing::Values(&studies::runningExample,
-                                           &studies::simpleLayout));
+                         ::testing::ValuesIn(etcs::test::kPaperLayouts));
 
 }  // namespace
 }  // namespace etcs::sat

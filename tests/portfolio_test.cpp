@@ -37,6 +37,7 @@
 #include "sat/solver.hpp"
 #include "studies/studies.hpp"
 #include "support/formula_helpers.hpp"
+#include "support/paper_layouts.hpp"
 #include "support/test_seed.hpp"
 
 namespace etcs::sat {
@@ -44,6 +45,7 @@ namespace {
 
 using etcs::test::makeRandomFormula;
 using etcs::test::modelSatisfies;
+using etcs::test::PaperLayout;
 using etcs::test::pigeonhole;
 using etcs::test::proofCertifies;
 
@@ -477,10 +479,10 @@ EncodedInstance encodeStudy(const studies::CaseStudy& study) {
     return out;
 }
 
-class PortfolioEncoderTest : public ::testing::TestWithParam<studies::CaseStudy (*)()> {};
+class PortfolioEncoderTest : public ::testing::TestWithParam<PaperLayout> {};
 
 TEST_P(PortfolioEncoderTest, EtcsInstancesMatchAcrossModes) {
-    const studies::CaseStudy study = GetParam()();
+    const studies::CaseStudy study = GetParam().make();
     SCOPED_TRACE(study.name);
     const EncodedInstance encoded = encodeStudy(study);
 
@@ -509,8 +511,7 @@ TEST_P(PortfolioEncoderTest, EtcsInstancesMatchAcrossModes) {
 }
 
 INSTANTIATE_TEST_SUITE_P(PaperLayouts, PortfolioEncoderTest,
-                         ::testing::Values(&studies::runningExample,
-                                           &studies::simpleLayout));
+                         ::testing::ValuesIn(etcs::test::kPaperLayouts));
 
 // --------------------------------------------------- backend/task wiring --
 
