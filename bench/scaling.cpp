@@ -246,72 +246,6 @@ void pruningScaling() {
     }
 }
 
-void cegarScaling() {
-    std::cout << "S1f: CEGAR lazy pass-through encoding vs monolithic (verification\n"
-                 "     task on the pure TTD layout, internal backend; final clause\n"
-                 "     counts and encode+solve runtime; see docs/CEGAR.md)\n\n"
-              << std::right << std::setw(24) << "instance" << std::setw(12) << "mode"
-              << std::setw(9) << "vars" << std::setw(10) << "clauses" << std::setw(6)
-              << "sat" << std::setw(7) << "iters" << std::setw(9) << "orcl-rej"
-              << std::setw(12) << "runtime[s]" << std::setw(9) << "drop[%]" << "\n";
-    const struct {
-        const char* name;
-        studies::CaseStudy study;
-    } cases[] = {{"nordlandsbanen", studies::nordlandsbanen()},
-                 {"corridor_s4_t6",
-                  studies::corridor(4, 6, Meters::fromKilometers(2.0),
-                                    Resolution{Meters(500), Seconds(60)})},
-                 {"corridor_s2_t7",
-                  studies::corridor(2, 7, Meters::fromKilometers(2.0),
-                                    Resolution{Meters(500), Seconds(60)})}};
-    auto& registry = obs::Registry::global();
-    for (const auto& c : cases) {
-        const core::Instance instance(c.study.network, c.study.trains,
-                                      c.study.timedSchedule, c.study.resolution);
-        const core::VssLayout pure(instance.graph());
-        std::size_t monolithicClauses = 0;
-        for (const bool cegar : {false, true}) {
-            core::TaskOptions options;
-            options.lintInstance = false;  // always encode + solve
-            options.cegar = cegar;
-            const auto result = core::verifySchedule(instance, pure, options);
-            if (!cegar) {
-                monolithicClauses = result.stats.numClauses;
-            }
-            const std::string mode = cegar ? "cegar" : "monolithic";
-            const std::string prefix =
-                "scaling.cegar." + std::string(c.name) + "." + mode + ".";
-            registry.gauge(prefix + "variables").set(result.stats.numVariables);
-            registry.gauge(prefix + "clauses")
-                .set(static_cast<double>(result.stats.numClauses));
-            registry.gauge(prefix + "sat").set(result.feasible ? 1 : 0);
-            registry.gauge(prefix + "runtime_seconds").set(result.stats.runtimeSeconds);
-            registry.gauge(prefix + "iterations").set(result.stats.cegarIterations);
-            registry.gauge(prefix + "oracle_rejections")
-                .set(result.stats.cegarOracleRejections);
-            registry.gauge(prefix + "refinement_clauses")
-                .set(static_cast<double>(result.stats.cegarRefinementClauses));
-            const double drop =
-                cegar && monolithicClauses > 0
-                    ? 100.0 * (1.0 - static_cast<double>(result.stats.numClauses) /
-                                         static_cast<double>(monolithicClauses))
-                    : 0.0;
-            if (cegar) {
-                registry.gauge(prefix + "clause_drop_percent").set(drop);
-            }
-            std::cout << std::setw(24) << c.name << std::setw(12) << mode << std::setw(9)
-                      << result.stats.numVariables << std::setw(10)
-                      << result.stats.numClauses << std::setw(6)
-                      << (result.feasible ? "yes" : "no") << std::setw(7)
-                      << result.stats.cegarIterations << std::setw(9)
-                      << result.stats.cegarOracleRejections << std::setw(12) << std::fixed
-                      << std::setprecision(3) << result.stats.runtimeSeconds
-                      << std::setw(9) << std::setprecision(1) << drop << "\n";
-        }
-    }
-    std::cout << "\n";
-}
-
 void unrollScaling() {
     std::cout << "S1g: BMC-style horizon unrolling vs monolithic (optimization\n"
                  "     task on the open schedule, internal backend, completion-time\n"
@@ -387,8 +321,8 @@ void unrollScaling() {
 
 int main(int argc, char** argv) {
     // With arguments, run only the named series (corridor, trains,
-    // resolution, portfolio, pruning, cegar, unroll) — used by CI to smoke
-    // single series.
+    // resolution, portfolio, pruning, unroll) — used by CI to smoke single
+    // series.
     const auto selected = [&](const char* series) {
         if (argc <= 1) {
             return true;
@@ -416,9 +350,6 @@ int main(int argc, char** argv) {
     }
     if (selected("pruning")) {
         pruningScaling();
-    }
-    if (selected("cegar")) {
-        cegarScaling();
     }
     if (selected("unroll")) {
         unrollScaling();

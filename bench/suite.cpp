@@ -3,9 +3,8 @@
 /// see docs/GENERATOR.md): every topology family x schedule kind at a fixed
 /// seed, verified on the finest layout with every available SAT backend.
 ///
-/// The run doubles as a cross-backend differential check: all backends —
-/// including the CEGAR lazy pass-through arm (core/cegar.hpp) — must agree
-/// on every verdict, feasible-by-construction instances must be SAT,
+/// The run doubles as a cross-backend differential check: all backends must
+/// agree on every verdict, feasible-by-construction instances must be SAT,
 /// and lint-provably-infeasible instances must be UNSAT. Metrics land in
 /// BENCH_suite.json under suite.<instance>.<backend>.<field>; the counter
 /// metrics (variables, clauses, conflicts, propagations, decisions) are
@@ -57,15 +56,6 @@ std::vector<BackendSpec> backends() {
         portfolio.options.deterministicPortfolio = true;
         specs.push_back(portfolio);
     }
-    {
-        // The CEGAR loop on the internal backend: starts from the
-        // pass-through-free abstraction and refines against the simulator
-        // oracle, so its clause gauge reports the final refined formula.
-        BackendSpec cegar;
-        cegar.name = "cegar";
-        cegar.options.cegar = true;
-        specs.push_back(cegar);
-    }
 #ifdef ETCS_HAVE_Z3
     {
         BackendSpec z3;
@@ -98,15 +88,6 @@ void recordResult(const std::string& instanceName, const std::string& backendNam
         .set(static_cast<double>(result.stats.propagations));
     registry.gauge(prefix + "decisions").set(static_cast<double>(result.stats.decisions));
     registry.gauge(prefix + "runtime_seconds").set(result.stats.runtimeSeconds);
-    // The CEGAR arm additionally exposes its refinement loop shape; the
-    // counts are deterministic, so the threshold-0 gate pins them too.
-    if (result.stats.cegarIterations > 0) {
-        registry.gauge(prefix + "cegar_iterations").set(result.stats.cegarIterations);
-        registry.gauge(prefix + "cegar_oracle_rejections")
-            .set(result.stats.cegarOracleRejections);
-        registry.gauge(prefix + "cegar_refinement_clauses")
-            .set(static_cast<double>(result.stats.cegarRefinementClauses));
-    }
 }
 
 /// Encode the instance twice (reachability pruning off/on, no solving) and

@@ -44,14 +44,13 @@ struct CliOptions {
     bool explain = false;
     std::optional<std::string> explainJsonFile;
     int threads = 1;
-    bool cegar = false;
     bool unroll = false;
 };
 
 void usage() {
     std::cerr << "usage: etcs_cli <verify|generate|optimize|encode> <network.rail> "
                  "<scenario.sched> --rs <meters> --rt <seconds> [--dot <file>] "
-                 "[--cnf <file>] [--pure] [--threads <n>] [--cegar] [--unroll] [--explain] "
+                 "[--cnf <file>] [--pure] [--threads <n>] [--unroll] [--explain] "
                  "[--explain-json <file>]\n";
 }
 
@@ -70,10 +69,6 @@ std::optional<CliOptions> parseArguments(int argc, char** argv) {
         }
         if (std::strcmp(argv[i], "--explain") == 0) {
             options.explain = true;
-            continue;
-        }
-        if (std::strcmp(argv[i], "--cegar") == 0) {
-            options.cegar = true;
             continue;
         }
         if (std::strcmp(argv[i], "--unroll") == 0) {
@@ -139,17 +134,6 @@ void maybeExplain(const CliOptions& options, const core::Instance& instance,
             std::cerr << "error: cannot write " << *options.explainJsonFile << "\n";
         }
     }
-}
-
-void maybePrintCegar(const CliOptions& options, const core::TaskStats& stats) {
-    if (!options.cegar) {
-        return;
-    }
-    std::cout << "cegar: " << stats.cegarIterations << " iterations, "
-              << stats.cegarOracleRejections << " oracle rejections, "
-              << stats.cegarRefinedCells << " cells refined ("
-              << stats.cegarRefinementClauses << " clauses), final formula "
-              << stats.numClauses << " clauses\n";
 }
 
 void maybePrintUnroll(const CliOptions& options, const core::TaskStats& stats,
@@ -220,11 +204,7 @@ int main(int argc, char** argv) {
         }
         core::TaskOptions taskOptions;
         taskOptions.threads = options->threads;
-        taskOptions.cegar = options->cegar;
         taskOptions.unroll = options->unroll;
-        if (options->cegar) {
-            std::cout << "solver: CEGAR lazy pass-through encoding\n";
-        }
         if (options->unroll) {
             std::cout << "solver: incremental horizon unrolling\n";
         }
@@ -241,7 +221,6 @@ int main(int argc, char** argv) {
                       << (result.feasible ? "FEASIBLE" : "INFEASIBLE") << " ["
                       << result.stats.numVariables << " vars, "
                       << result.stats.runtimeSeconds << " s]\n";
-            maybePrintCegar(*options, result.stats);
             maybePrintUnroll(*options, result.stats, instance.horizonSteps());
             if (!result.feasible) {
                 maybeExplain(*options, instance, &pure);
@@ -259,7 +238,6 @@ int main(int argc, char** argv) {
                       << result.solution->layout.virtualBorderCount(instance.graph())
                       << " virtual borders) [" << result.stats.numVariables << " vars, "
                       << result.stats.runtimeSeconds << " s]\n";
-            maybePrintCegar(*options, result.stats);
             maybePrintUnroll(*options, result.stats, instance.horizonSteps());
             maybeWriteDot(*options, instance.graph(), result.solution->layout);
             return 0;
@@ -283,7 +261,6 @@ int main(int argc, char** argv) {
                   << resolution.timeOf(result.completionSteps).clock() << ") with "
                   << result.sectionCount << " sections [" << result.stats.runtimeSeconds
                   << " s]\n";
-        maybePrintCegar(*options, result.stats);
         maybePrintUnroll(*options, result.stats, instance.horizonSteps());
         for (std::size_t r = 0; r < instance.numRuns(); ++r) {
             std::cout << "  " << scenario.trains.train(instance.runs()[r].train).name

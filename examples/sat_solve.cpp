@@ -2,9 +2,9 @@
 /// Standalone DIMACS front end for the built-in CDCL solver — useful for
 /// exercising the SAT substrate on standard benchmark files.
 ///
-///   sat_solve [--preprocess] [--no-restarts] [--stats] [--explain] [--cegar]
-///             [--unroll] [--threads N [--deterministic]]
-///             [--proof FILE [--binary-proof]] [file.cnf]
+///   sat_solve [--preprocess] [--no-restarts] [--stats] [--explain]
+///             [--threads N [--deterministic]] [--proof FILE [--binary-proof]]
+///             [file.cnf]
 ///
 /// Reads DIMACS CNF from the file (or stdin), prints the SAT-competition
 /// style result ("s SATISFIABLE" + "v ..." model lines, or
@@ -28,29 +28,11 @@
 /// comments (the CNF-level half of the provenance pipeline in
 /// docs/EXPLAIN.md). Combines with --proof: the captured proof is then also
 /// serialized to the file.
-///
-/// With --cegar, the solver runs a lazy clause-activation loop (the
-/// CNF-level cousin of the library's CEGAR engine, docs/CEGAR.md): clauses
-/// of size <= 2 are asserted eagerly, longer clauses only once a candidate
-/// model violates them. Verdicts are unchanged, and proofs stay valid —
-/// every activated clause is an original clause, hence trivially RUP.
-/// Single-solver mode only (not combinable with --threads).
-///
-/// With --unroll, the solver adds the clauses in layers of their highest
-/// variable and re-solves the warm incremental session after each layer (the
-/// CNF-level cousin of the library's BMC-style horizon unrolling,
-/// docs/UNROLLING.md): an UNSAT prefix ends the run early — a clause-subset
-/// UNSAT implies formula UNSAT, and the DRAT proof stays valid against the
-/// full formula since RUP steps survive clause addition — while a model is
-/// only ever read once every clause has been added. Single-solver mode only
-/// (not combinable with --threads or --cegar).
-#include <algorithm>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
 #include <memory>
-#include <numeric>
 
 #include "sat/dimacs.hpp"
 #include "sat/drat_check.hpp"
@@ -68,8 +50,6 @@ int main(int argc, char** argv) {
     bool binaryProof = false;
     bool deterministic = false;
     bool explain = false;
-    bool cegar = false;
-    bool unroll = false;
     int threads = 1;
     const char* proofPath = nullptr;
     const char* path = nullptr;
@@ -86,10 +66,6 @@ int main(int argc, char** argv) {
             deterministic = true;
         } else if (std::strcmp(argv[i], "--explain") == 0) {
             explain = true;
-        } else if (std::strcmp(argv[i], "--cegar") == 0) {
-            cegar = true;
-        } else if (std::strcmp(argv[i], "--unroll") == 0) {
-            unroll = true;
         } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
             threads = std::atoi(argv[++i]);
             if (threads < 0) {
@@ -100,25 +76,12 @@ int main(int argc, char** argv) {
             proofPath = argv[++i];
         } else if (argv[i][0] == '-') {
             std::cerr << "usage: sat_solve [--preprocess] [--no-restarts] [--stats] "
-                         "[--explain] [--cegar] [--unroll] "
-                         "[--threads N [--deterministic]] "
+                         "[--explain] [--threads N [--deterministic]] "
                          "[--proof FILE [--binary-proof]] [file.cnf]\n";
             return 2;
         } else {
             path = argv[i];
         }
-    }
-    if (cegar && threads != 1) {
-        std::cerr << "c --cegar requires the single-threaded solver\n";
-        return 2;
-    }
-    if (unroll && threads != 1) {
-        std::cerr << "c --unroll requires the single-threaded solver\n";
-        return 2;
-    }
-    if (unroll && cegar) {
-        std::cerr << "c --unroll and --cegar are mutually exclusive\n";
-        return 2;
     }
 
     try {
@@ -235,99 +198,10 @@ int main(int argc, char** argv) {
             for (int v = 0; v < formula.numVariables; ++v) {
                 solver.addVariable();
             }
-            if (cegar) {
-                // Lazy clause activation: short clauses now, the rest only
-                // when a candidate model violates them. UNSAT of the active
-                // subset implies UNSAT of the formula; a model violating no
-                // deferred clause satisfies the formula.
-                std::vector<std::size_t> deferred;
-                for (std::size_t i = 0; i < formula.clauses.size(); ++i) {
-                    if (formula.clauses[i].size() <= 2) {
-                        solver.addClause(formula.clauses[i]);
-                    } else {
-                        deferred.push_back(i);
-                    }
-                }
-                const std::size_t deferredTotal = deferred.size();
-                std::size_t activated = 0;
-                int rounds = 0;
-                for (;;) {
-                    ++rounds;
-                    status = solver.solve();
-                    if (status != SolveStatus::Sat) {
-                        break;
-                    }
-                    std::size_t added = 0;
-                    for (std::size_t j = 0; j < deferred.size();) {
-                        const auto& clause = formula.clauses[deferred[j]];
-                        bool satisfied = false;
-                        for (const Literal l : clause) {
-                            if (solver.modelValue(l.var()) ==
-                                (l.sign() ? Value::False : Value::True)) {
-                                satisfied = true;
-                                break;
-                            }
-                        }
-                        if (satisfied) {
-                            ++j;
-                            continue;
-                        }
-                        solver.addClause(clause);
-                        ++added;
-                        deferred[j] = deferred.back();
-                        deferred.pop_back();
-                    }
-                    if (added == 0) {
-                        break;
-                    }
-                    activated += added;
-                }
-                std::cout << "c cegar: " << rounds << " rounds, " << activated << " of "
-                          << deferredTotal << " deferred clauses activated\n";
-            } else if (unroll) {
-                // Layered incremental solving: clauses enter the warm solver
-                // ordered by their highest variable, one variable band per
-                // round. UNSAT of any prefix is final (clause-subset UNSAT,
-                // same argument as --cegar); the model is read only after
-                // the last round has added every clause.
-                std::vector<std::size_t> order(formula.clauses.size());
-                std::iota(order.begin(), order.end(), std::size_t{0});
-                std::vector<Var> highest(formula.clauses.size(), 0);
-                for (std::size_t i = 0; i < formula.clauses.size(); ++i) {
-                    for (const Literal l : formula.clauses[i]) {
-                        highest[i] = std::max(highest[i], l.var());
-                    }
-                }
-                std::stable_sort(order.begin(), order.end(),
-                                 [&highest](std::size_t a, std::size_t b) {
-                                     return highest[a] < highest[b];
-                                 });
-                const Var band = std::max(1, formula.numVariables / 8);
-                std::size_t next = 0;
-                std::size_t prefixClauses = 0;
-                int rounds = 0;
-                for (Var limit = band;; limit += band) {
-                    while (next < order.size() && highest[order[next]] < limit) {
-                        solver.addClause(formula.clauses[order[next]]);
-                        ++next;
-                    }
-                    ++rounds;
-                    prefixClauses = next;
-                    status = solver.solve();
-                    if (status == SolveStatus::Unsat || status == SolveStatus::Unknown ||
-                        next >= order.size()) {
-                        break;
-                    }
-                }
-                std::cout << "c unroll: " << rounds << " rounds, verdict at "
-                          << prefixClauses << " of " << formula.clauses.size()
-                          << " clauses\n";
-            } else {
-                for (const auto& clause : formula.clauses) {
-                    solver.addClause(clause);
-                }
-                status = solver.solve();
+            for (const auto& clause : formula.clauses) {
+                solver.addClause(clause);
             }
+            status = solver.solve();
         }
         finishProof();
         if (printStats) {

@@ -135,8 +135,6 @@ void Encoder::encodePrefix(const VssLayout* fixedLayout, int horizonSteps) {
     fixedLayout_ = fixedLayout;
     encodedHorizon_ = horizonSteps;
     doneAll_.assign(static_cast<std::size_t>(fullHorizon), Literal{});
-    passThroughEmitted_.assign(instance_->numRuns(),
-                               std::vector<char>(static_cast<std::size_t>(fullHorizon), 0));
     occ_.assign(instance_->numRuns(),
                 std::vector<std::vector<Literal>>(
                     static_cast<std::size_t>(fullHorizon),
@@ -188,7 +186,7 @@ void Encoder::encodePrefix(const VssLayout* fixedLayout, int horizonSteps) {
             }
         }
     });
-    if (options_.encodePassThrough && instance_->numRuns() > 1) {
+    if (instance_->numRuns() > 1) {
         measured("pass_through", [&] {
             for (std::size_t run = 0; run < instance_->numRuns(); ++run) {
                 encodePassThrough(run, 0, horizonSteps);
@@ -248,7 +246,7 @@ void Encoder::extendHorizon(int newHorizonSteps) {
             }
         }
     });
-    if (options_.encodePassThrough && instance_->numRuns() > 1) {
+    if (instance_->numRuns() > 1) {
         measured("pass_through", [&] {
             for (std::size_t run = 0; run < instance_->numRuns(); ++run) {
                 encodePassThrough(run, from, newHorizonSteps);
@@ -735,22 +733,12 @@ const std::vector<SegmentId>& Encoder::pathUnion(SegmentId e, SegmentId f, int m
 
 void Encoder::encodePassThrough(std::size_t mover, int from, int to) {
     const DiscreteRun& r = instance_->runs()[mover];
+    const std::size_t numSegments = instance_->graph().numSegments();
+
+    // Cell t covers the movement between t and t+1, so a horizon-`to`
+    // encoding holds the cells t + 1 < to: a prefix emits [departure, k-1)
+    // and its extension to k' the disjoint [k-1, k'-1).
     for (int t = std::max(r.departureStep, from - 1); t + 1 < to; ++t) {
-        if (passThroughEmitted_[mover][static_cast<std::size_t>(t)] != 0) {
-            continue;  // materialized earlier (prefix or CEGAR refinement)
-        }
-        passThroughEmitted_[mover][static_cast<std::size_t>(t)] = 1;
-        encodePassThroughStep(mover, t);
-    }
-    tagEnd();
-}
-
-void Encoder::encodePassThroughStep(std::size_t mover, int t) {
-    const DiscreteRun& r = instance_->runs()[mover];
-    const auto& graph = instance_->graph();
-    const std::size_t numSegments = graph.numSegments();
-
-    {
         tag({.family = "pass_through", .run = static_cast<int>(mover), .step = t});
         const auto& occNow = occ_[mover][static_cast<std::size_t>(t)];
         const auto& occNext = occ_[mover][static_cast<std::size_t>(t) + 1];
@@ -826,48 +814,7 @@ void Encoder::encodePassThroughStep(std::size_t mover, int t) {
             }
         }
     }
-}
-
-std::size_t Encoder::refinePassThrough(std::size_t run, int step) {
-    ETCS_REQUIRE_MSG(encoded_, "encode() must run before refinePassThrough()");
-    ETCS_REQUIRE_MSG(run < instance_->numRuns(), "refinePassThrough: run out of range");
-    const DiscreteRun& r = instance_->runs()[run];
-    if (step < r.departureStep || step + 1 >= encodedHorizon_) {
-        return 0;  // no movement cell between step and step + 1 (yet)
-    }
-    std::vector<char>& emitted = passThroughEmitted_[run];
-    if (emitted[static_cast<std::size_t>(step)] != 0) {
-        return 0;  // already part of the formula
-    }
-    emitted[static_cast<std::size_t>(step)] = 1;
-
-    const int varsBefore = backend_->numVariables();
-    const std::size_t clausesBefore = backend_->numClauses();
-    {
-        const obs::Span span("pass_through.refine");
-        encodePassThroughStep(run, step);
-        tagEnd();
-    }
-    const int vars = backend_->numVariables() - varsBefore;
-    const std::size_t clauses = backend_->numClauses() - clausesBefore;
-    accumulateFamily("pass_through", vars, clauses);
-    // encode() has already mirrored the family counts into the registry, so
-    // late refinements keep the cumulative accounting consistent themselves.
-    auto& registry = obs::Registry::global();
-    registry.counter("etcs.encoder.vars.pass_through").add(static_cast<std::uint64_t>(vars));
-    registry.counter("etcs.encoder.clauses.pass_through").add(clauses);
-    return clauses;
-}
-
-std::size_t Encoder::passThroughCellCount() const {
-    const int horizon = instance_->horizonSteps();
-    std::size_t cells = 0;
-    for (const DiscreteRun& r : instance_->runs()) {
-        if (r.departureStep + 1 < horizon) {
-            cells += static_cast<std::size_t>(horizon - 1 - r.departureStep);
-        }
-    }
-    return cells;
+    tagEnd();
 }
 
 Literal Encoder::doneAllLiteral(int step) {

@@ -53,8 +53,6 @@ struct EncoderOptions {
                                       ///< reachability analysis excludes
                                       ///< (lint/reach.hpp, docs/REACHABILITY.md);
                                       ///< verdict- and objective-preserving
-    bool encodePassThrough = true;    ///< emit C4 (ablation toggle; unsafe to disable
-                                      ///< except for measurements)
     bool trackProvenance = false;     ///< record a clause provenance side-table
                                       ///< (see provenance.hpp / docs/EXPLAIN.md)
 };
@@ -151,20 +149,6 @@ public:
         return options_.trackProvenance ? &provenance_ : nullptr;
     }
 
-    /// Lazily emit the C4 pass-through block for one (run, step) movement
-    /// cell — the refinement step of the CEGAR loop (core/cegar.hpp). Only
-    /// meaningful after encode(); cells already emitted (monolithically or
-    /// by an earlier refinement) and steps outside the run's movement range
-    /// are skipped. The clauses are attributed to the "pass_through" family
-    /// and tagged in the provenance side-table exactly like the monolithic
-    /// emission, so explanations keep attributing. Returns the number of
-    /// clauses added.
-    std::size_t refinePassThrough(std::size_t run, int step);
-
-    /// Number of distinct (run, step) pass-through cells the encoding has —
-    /// an upper bound on the CEGAR refinement iterations.
-    [[nodiscard]] std::size_t passThroughCellCount() const;
-
     /// Occupies literal for (run, segment, step); invalid when constant false.
     [[nodiscard]] Literal occupiesLiteral(std::size_t run, SegmentId segment, int step) const {
         return occ_[run][static_cast<std::size_t>(step)][segment.get()];
@@ -200,9 +184,6 @@ private:
     void buildSeparationPlan(const VssLayout* fixedLayout);
     void encodeVssSeparation(std::size_t run1, std::size_t run2, int from, int to);
     void encodePassThrough(std::size_t mover, int from, int to);
-    /// One (mover, t) cell of C4: sweep variables plus blocking clauses for
-    /// the movement between t and t+1. Caller is responsible for tagEnd().
-    void encodePassThroughStep(std::size_t mover, int t);
 
     /// Run `fn`, attributing the backend variables/clauses it adds to
     /// `family` (accumulates across calls with the same family name).
@@ -274,10 +255,6 @@ private:
 
     std::vector<FamilyCounts> familyCounts_;
     ProvenanceTable provenance_;  ///< populated only when options_.trackProvenance
-
-    // passThroughEmitted_[run][t]: the (run, t) C4 cell has been emitted
-    // (monolithic encode marks every cell; refinePassThrough marks lazily).
-    std::vector<std::vector<char>> passThroughEmitted_;
 
     // chains per train length, computed once per distinct length
     std::unordered_map<int, std::vector<rail::Chain>> chainsByLength_;

@@ -2,10 +2,11 @@
 
 #include <algorithm>
 #include <chrono>
+#include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
-#include "core/cegar.hpp"
 #include "lint/rail_lint.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -42,60 +43,6 @@ std::unique_ptr<cnf::SatBackend> makeBackend(const TaskOptions& options) {
 
 double secondsSince(Clock::time_point start) {
     return std::chrono::duration<double>(Clock::now() - start).count();
-}
-
-/// The encode/solve machinery of one task: either a plain backend driving the
-/// monolithic encoding, or a CEGAR EncodeSession (TaskOptions::cegar) whose
-/// solve() runs the abstraction-check-refine loop. Either way the task code
-/// talks to one SatBackend and one Encoder.
-struct SolveEngine {
-    std::unique_ptr<cnf::SatBackend> backend;   ///< monolithic path
-    std::unique_ptr<Encoder> monolithic;        ///< monolithic path
-    std::unique_ptr<EncodeSession> session;     ///< CEGAR path
-
-    [[nodiscard]] cnf::SatBackend& solver() {
-        return session ? static_cast<cnf::SatBackend&>(*session) : *backend;
-    }
-    [[nodiscard]] const cnf::SatBackend& solver() const {
-        return session ? static_cast<const cnf::SatBackend&>(*session) : *backend;
-    }
-    [[nodiscard]] Encoder& encoder() { return session ? session->encoder() : *monolithic; }
-    void encode(const VssLayout* fixedLayout) {
-        if (session) {
-            session->encode(fixedLayout);
-        } else {
-            monolithic->encode(fixedLayout);
-        }
-    }
-    void encodePrefix(const VssLayout* fixedLayout, int horizonSteps) {
-        if (session) {
-            session->encodePrefix(fixedLayout, horizonSteps);
-        } else {
-            monolithic->encodePrefix(fixedLayout, horizonSteps);
-        }
-    }
-    void extendHorizon(int newHorizonSteps) {
-        if (session) {
-            session->extendHorizon(newHorizonSteps);
-        } else {
-            monolithic->extendHorizon(newHorizonSteps);
-        }
-    }
-};
-
-SolveEngine makeEngine(const Instance& instance, const TaskOptions& options) {
-    SolveEngine engine;
-    if (options.cegar) {
-        CegarOptions cegarOptions;
-        cegarOptions.encoder = options.encoder;
-        cegarOptions.backendFactory = [options]() { return makeBackend(options); };
-        engine.session = std::make_unique<EncodeSession>(instance, cegarOptions);
-    } else {
-        engine.backend = makeBackend(options);
-        engine.monolithic =
-            std::make_unique<Encoder>(*engine.backend, instance, options.encoder);
-    }
-    return engine;
 }
 
 /// Fail-fast pre-pass: run the instance linter and report whether it proved
@@ -138,11 +85,19 @@ bool lintRejects(const Instance& instance, const TaskOptions& options, const cha
     return false;
 }
 
+/// One task's solver and the Encoder feeding it.
+struct Session {
+    Session(const Instance& instance, const TaskOptions& options)
+        : backend(makeBackend(options)), encoder(*backend, instance, options.encoder) {}
+
+    std::unique_ptr<cnf::SatBackend> backend;
+    Encoder encoder;
+};
+
 /// Fold formula size and the backend's solver counters into the task stats,
 /// record the task runtime, and mirror the totals into the metrics registry.
-void finishStats(TaskStats& stats, const SolveEngine& engine, const char* task,
+void finishStats(TaskStats& stats, const cnf::SatBackend& backend, const char* task,
                  Clock::time_point start) {
-    const cnf::SatBackend& backend = engine.solver();
     stats.numVariables = backend.numVariables();
     stats.numClauses = backend.numClauses();
     const sat::SolverStats& solver = backend.stats();
@@ -153,13 +108,6 @@ void finishStats(TaskStats& stats, const SolveEngine& engine, const char* task,
     stats.maxDecisionLevel = solver.maxDecisionLevel;
     stats.peakLearnts = solver.peakLearnts;
     stats.runtimeSeconds = secondsSince(start);
-    if (engine.session) {
-        const CegarStats& cegar = engine.session->cegarStats();
-        stats.cegarIterations = cegar.iterations;
-        stats.cegarOracleRejections = cegar.oracleRejections;
-        stats.cegarRefinedCells = cegar.refinedCells;
-        stats.cegarRefinementClauses = cegar.refinementClauses;
-    }
 
     auto& registry = obs::Registry::global();
     registry.counter(std::string("etcs.task.") + task + ".runs").increment();
@@ -175,7 +123,28 @@ void finishStats(TaskStats& stats, const SolveEngine& engine, const char* task,
     }
 }
 
-// ---- BMC-style horizon unrolling (TaskOptions::unroll, docs/UNROLLING.md) --
+/// The pipeline of every task: the lint/reach gate, one backend with its
+/// Encoder, then `body` — the prefix loop and the task's objective at the
+/// reached horizon, returning whether the task has a solution — and
+/// finally decode and finishStats.
+template <typename Body>
+std::optional<Solution> runTask(const Instance& instance, const TaskOptions& options,
+                                const char* task, TaskStats& stats, Body&& body) {
+    const auto start = Clock::now();
+    if (lintRejects(instance, options, task)) {
+        stats.runtimeSeconds = secondsSince(start);
+        return std::nullopt;
+    }
+    Session session(instance, options);
+    std::optional<Solution> solution;
+    if (body(session)) {
+        solution = session.encoder.decode();
+    }
+    finishStats(stats, *session.backend, task, start);
+    return solution;
+}
+
+// ---- The prefix loop (BMC-style horizon unrolling, docs/UNROLLING.md) ----
 
 /// First horizon worth probing: every train must be able to finish inside the
 /// prefix (completion lower bound), and every pinned stop must lie strictly
@@ -194,80 +163,118 @@ int unrollStartHorizon(const Instance& instance, const Encoder& encoder) {
     return std::clamp(lo, 1, instance.horizonSteps());
 }
 
-/// Where the unrolling loop stopped and why.
-struct UnrollOutcome {
-    cnf::SolveStatus status = cnf::SolveStatus::Unknown;
-    int startHorizon = 0;  ///< first probed prefix length
-    int horizon = 0;       ///< encoded horizon at the final probe
-    int probes = 0;        ///< solver calls spent
-    bool assumed = false;  ///< final probe ran under the completion assumption
+/// Where the prefix loop stopped. Unless a probe was SAT or cancelled, the
+/// encoding has reached the full horizon and nothing was solved there yet.
+struct Prefix {
+    int horizon = 0;          ///< encoded horizon
+    int completionFloor = 0;  ///< no completion before this step is possible
+    bool sat = false;         ///< a probe found a model (under prefixAssumptions)
+    bool cancelled = false;   ///< a probe was cancelled (SolveStatus::Unknown)
 };
 
-/// The unrolling driver: encode the start prefix, probe it on the warm
-/// incremental backend under the assumptions {horizon guard, all trains done
-/// at the prefix's last step}, and extend one step on UNSAT. At the full
-/// horizon the completion assumption is dropped for verify/generate
-/// (`completionAssumedAtFull == false`) so an UNSAT verdict is assumption-free
-/// and its DRAT proof certifies against the fully unrolled formula; optimize
-/// keeps it (its objective literally is the smallest feasible completion
-/// step). Soundness: a prefix model under the assumptions extends to a
-/// full-horizon model by keeping every train done, and conversely any
-/// full-horizon model completing by step k-1 restricts to the prefix — see
-/// docs/UNROLLING.md for the argument.
-UnrollOutcome unrollSolve(SolveEngine& engine, const Instance& instance,
-                          const VssLayout* fixedLayout, bool completionAssumedAtFull) {
-    auto& registry = obs::Registry::global();
-    const int fullHorizon = instance.horizonSteps();
-    UnrollOutcome out;
-    out.startHorizon = unrollStartHorizon(instance, engine.encoder());
-    engine.encodePrefix(fixedLayout, out.startHorizon);
-    for (int k = out.startHorizon;;) {
-        Encoder& encoder = engine.encoder();
-        const bool finalSolve = k == fullHorizon && !completionAssumedAtFull;
-        std::vector<cnf::Literal> assumptions;
-        if (!finalSolve) {
-            const cnf::Literal guard = encoder.horizonGuardLiteral();
-            if (guard.valid()) {
-                assumptions.push_back(guard);
-            }
-            assumptions.push_back(encoder.doneAllLiteral(k - 1));
-        }
-        ++out.probes;
-        registry.counter("etcs.unroll.probes").increment();
-        {
-            const obs::Span probeSpan("unroll.probe");
-            out.status = engine.solver().solve(assumptions);
-        }
-        out.horizon = k;
-        if (out.status == cnf::SolveStatus::Sat) {
-            out.assumed = !finalSolve;
-            break;
-        }
-        if (out.status == cnf::SolveStatus::Unknown || k == fullHorizon) {
-            break;  // cancelled, or UNSAT with nothing left to unroll
-        }
-        ++k;
-        registry.counter("etcs.unroll.extensions").increment();
-        const obs::Span extendSpan("unroll.extend");
-        engine.extendHorizon(k);
+/// A probe of the horizon-k prefix assumes its open-stop guard (when one is
+/// active) and that every train is done at step k-1.
+std::vector<cnf::Literal> prefixAssumptions(Encoder& encoder, int horizon) {
+    std::vector<cnf::Literal> assumptions;
+    const cnf::Literal guard = encoder.horizonGuardLiteral();
+    if (guard.valid()) {
+        assumptions.push_back(guard);
     }
-    registry.gauge("etcs.unroll.start_horizon").set(out.startHorizon);
-    registry.gauge("etcs.unroll.final_horizon").set(out.horizon);
-    if (obs::logEnabled(obs::LogLevel::Info)) {
-        obs::log(obs::LogLevel::Info, "unroll", "horizon unrolling finished",
-                 ",\"start\":" + std::to_string(out.startHorizon) +
-                     ",\"final\":" + std::to_string(out.horizon) +
-                     ",\"full\":" + std::to_string(fullHorizon) +
-                     ",\"probes\":" + std::to_string(out.probes));
-    }
-    return out;
+    assumptions.push_back(encoder.doneAllLiteral(horizon - 1));
+    return assumptions;
 }
 
-void recordUnroll(TaskStats& stats, const UnrollOutcome& out) {
-    stats.solveCalls += static_cast<std::uint64_t>(out.probes);
-    stats.unrollProbes = out.probes;
-    stats.unrollStartHorizon = out.startHorizon;
-    stats.unrollFinalHorizon = out.horizon;
+/// The prefix loop: encode the horizon the task starts from — the full one,
+/// or with TaskOptions::unroll the shortest worth probing — and while it is
+/// shorter than the full horizon, probe it on the warm backend under
+/// prefixAssumptions and extend one step per UNSAT probe. With `unroll` off
+/// the loop only encodes. It never solves at the full horizon; the task's
+/// objective does, and verification and generation solve there without the
+/// completion assumption, so their UNSAT verdicts are assumption-free and
+/// DRAT-certifiable against the fully unrolled formula. Soundness: a prefix
+/// model under the assumptions extends
+/// to a full-horizon model by keeping every train done, and conversely any
+/// full-horizon model completing by step k-1 restricts to the prefix — see
+/// docs/UNROLLING.md for the argument.
+Prefix unrollPrefix(Session& session, const Instance& instance, const VssLayout* fixedLayout,
+                    const TaskOptions& options, TaskStats& stats) {
+    Encoder& encoder = session.encoder;
+    const int fullHorizon = instance.horizonSteps();
+    Prefix prefix;
+    prefix.horizon = fullHorizon;
+    prefix.completionFloor = encoder.completionLowerBound();
+    if (options.unroll) {
+        // Below the start horizon no completion is possible (see
+        // unrollStartHorizon).
+        prefix.horizon = unrollStartHorizon(instance, encoder);
+        prefix.completionFloor = std::max(prefix.completionFloor, prefix.horizon - 1);
+    }
+    const int startHorizon = prefix.horizon;
+    encoder.encodePrefix(fixedLayout, startHorizon);
+
+    auto& registry = obs::Registry::global();
+    int probes = 0;
+    while (prefix.horizon < fullHorizon) {
+        ++probes;
+        registry.counter("etcs.unroll.probes").increment();
+        cnf::SolveStatus status = cnf::SolveStatus::Unknown;
+        {
+            const obs::Span probeSpan("unroll.probe");
+            status = session.backend->solve(prefixAssumptions(encoder, prefix.horizon));
+        }
+        if (status != cnf::SolveStatus::Unsat) {
+            prefix.sat = status == cnf::SolveStatus::Sat;
+            prefix.cancelled = status == cnf::SolveStatus::Unknown;
+            break;
+        }
+        // No completion by step horizon-1.
+        prefix.completionFloor = prefix.horizon;
+        ++prefix.horizon;
+        registry.counter("etcs.unroll.extensions").increment();
+        const obs::Span extendSpan("unroll.extend");
+        encoder.extendHorizon(prefix.horizon);
+    }
+    stats.solveCalls += static_cast<std::uint64_t>(probes);
+
+    if (options.unroll) {
+        stats.unrollProbes = probes;
+        stats.unrollStartHorizon = startHorizon;
+        stats.unrollFinalHorizon = prefix.horizon;
+        registry.gauge("etcs.unroll.start_horizon").set(startHorizon);
+        registry.gauge("etcs.unroll.final_horizon").set(prefix.horizon);
+        if (obs::logEnabled(obs::LogLevel::Info)) {
+            obs::log(obs::LogLevel::Info, "unroll", "horizon unrolling finished",
+                     ",\"start\":" + std::to_string(startHorizon) +
+                         ",\"final\":" + std::to_string(prefix.horizon) +
+                         ",\"full\":" + std::to_string(fullHorizon) +
+                         ",\"probes\":" + std::to_string(probes));
+        }
+    }
+    return prefix;
+}
+
+// ---- Objectives at the reached horizon ------------------------------------
+
+/// Feasibility without an objective: a SAT probe has answered already; at the
+/// full horizon one assumption-free solve does.
+bool solveReached(Session& session, const Prefix& prefix, TaskStats& stats) {
+    if (prefix.sat || prefix.cancelled) {
+        return prefix.sat;
+    }
+    ++stats.solveCalls;
+    return session.backend->solve() == cnf::SolveStatus::Sat;
+}
+
+/// The section objective min sum(border_v) under `assumptions`; false when no
+/// model was found (the formula is UNSAT or a solve was cancelled).
+bool minimizeBorders(Session& session, std::span<const cnf::Literal> assumptions,
+                     const TaskOptions& options, TaskStats& stats) {
+    const obs::Span minimizeSpan("minimize.borders");
+    const auto minimized = opt::minimizeTrueLiterals(
+        *session.backend, session.encoder.freeBorderLiterals(), options.borderSearch, {},
+        assumptions);
+    stats.solveCalls += minimized.solveCalls;
+    return minimized.feasible;
 }
 
 }  // namespace
@@ -277,27 +284,12 @@ VerificationResult verifySchedule(const Instance& instance, const VssLayout& lay
     ETCS_REQUIRE_MSG(instance.schedule().fullyTimed(),
                      "verification requires a fully timed schedule");
     const obs::Span span("task.verify");
-    const auto start = Clock::now();
     VerificationResult result;
-    if (lintRejects(instance, options, "verify")) {
-        result.stats.runtimeSeconds = secondsSince(start);
-        return result;
-    }
-
-    SolveEngine engine = makeEngine(instance, options);
-    if (options.unroll) {
-        const UnrollOutcome out = unrollSolve(engine, instance, &layout, false);
-        recordUnroll(result.stats, out);
-        result.feasible = out.status == cnf::SolveStatus::Sat;
-    } else {
-        engine.encode(&layout);
-        ++result.stats.solveCalls;
-        result.feasible = engine.solver().solve() == cnf::SolveStatus::Sat;
-    }
-    if (result.feasible) {
-        result.solution = engine.encoder().decode();
-    }
-    finishStats(result.stats, engine, "verify", start);
+    result.solution = runTask(instance, options, "verify", result.stats, [&](Session& session) {
+        const Prefix prefix = unrollPrefix(session, instance, &layout, options, result.stats);
+        return solveReached(session, prefix, result.stats);
+    });
+    result.feasible = result.solution.has_value();
     return result;
 }
 
@@ -305,60 +297,93 @@ GenerationResult generateLayout(const Instance& instance, const TaskOptions& opt
     ETCS_REQUIRE_MSG(instance.schedule().fullyTimed(),
                      "layout generation requires a fully timed schedule");
     const obs::Span span("task.generate");
-    const auto start = Clock::now();
     GenerationResult result;
-    if (lintRejects(instance, options, "generate")) {
-        result.stats.runtimeSeconds = secondsSince(start);
-        return result;
-    }
-
-    SolveEngine engine = makeEngine(instance, options);
-    if (!options.unroll) {
-        engine.encode(nullptr);
-    }
-    if (options.unroll) {
-        const UnrollOutcome out = unrollSolve(engine, instance, nullptr, false);
-        recordUnroll(result.stats, out);
-        result.feasible = out.status == cnf::SolveStatus::Sat;
-        if (result.feasible && options.minimizeSections) {
-            // Minimize borders inside the SAT prefix: completion by the
-            // prefix's last step is objective-preserving for a fully timed
-            // schedule (docs/UNROLLING.md), so the assumption scopes the
-            // search without changing the optimum.
-            std::vector<cnf::Literal> always;
-            if (out.assumed) {
-                always.push_back(engine.encoder().doneAllLiteral(out.horizon - 1));
-            }
-            const obs::Span minimizeSpan("minimize.borders");
-            const auto minimized = opt::minimizeTrueLiterals(
-                engine.solver(), engine.encoder().freeBorderLiterals(),
-                options.borderSearch, {}, always);
-            result.stats.solveCalls += minimized.solveCalls;
-            ETCS_REQUIRE_MSG(minimized.feasible,
-                             "border minimization must stay feasible at the SAT prefix");
+    result.solution = runTask(instance, options, "generate", result.stats, [&](Session& session) {
+        const Prefix prefix = unrollPrefix(session, instance, nullptr, options, result.stats);
+        if (!options.minimizeSections || prefix.cancelled) {
+            return solveReached(session, prefix, result.stats);
         }
-    } else if (options.minimizeSections) {
-        const obs::Span minimizeSpan("minimize.borders");
-        const auto minimized = opt::minimizeTrueLiterals(
-            engine.solver(), engine.encoder().freeBorderLiterals(), options.borderSearch);
-        result.stats.solveCalls = minimized.solveCalls;
-        result.feasible = minimized.feasible;
-    } else {
-        ++result.stats.solveCalls;
-        result.feasible = engine.solver().solve() == cnf::SolveStatus::Sat;
-    }
+        // Minimize borders inside a SAT prefix: completion by the prefix's
+        // last step is objective-preserving for a fully timed schedule
+        // (docs/UNROLLING.md), so the assumptions scope the search without
+        // changing the optimum.
+        std::vector<cnf::Literal> scope;
+        if (prefix.sat) {
+            scope = prefixAssumptions(session.encoder, prefix.horizon);
+        }
+        return minimizeBorders(session, scope, options, result.stats);
+    });
+    result.feasible = result.solution.has_value();
     if (result.feasible) {
-        result.solution = engine.encoder().decode();
         result.sectionCount = result.solution->sectionCount;
     }
-    finishStats(result.stats, engine, "generate", start);
     return result;
 }
 
 namespace {
 
 OptimizationResult optimizeImpl(const Instance& instance, const VssLayout* fixedLayout,
-                                const TaskOptions& options);
+                                const TaskOptions& options) {
+    const obs::Span span("task.optimize");
+    OptimizationResult result;
+    int completionSteps = 0;
+    result.solution = runTask(instance, options, "optimize", result.stats, [&](Session& session) {
+        Encoder& encoder = session.encoder;
+        // Primary objective: minimize the number of time steps until all
+        // trains have left (paper's min sum !done^t). done^t is monotone, so
+        // the optimum is the smallest step at which the done-all selector
+        // can hold.
+        result.completionLowerBound = encoder.completionLowerBound();
+        const int hi = instance.horizonSteps() - 1;
+        if (result.completionLowerBound > hi) {
+            // The horizon admits no completion at all — a bound mismatch,
+            // not a proof of infeasibility. Report it distinctly (and skip
+            // encoding: no formula is needed to see it).
+            result.verdict = OptimizeVerdict::HorizonTooShort;
+            obs::Registry::global().counter("etcs.task.optimize.horizon_too_short").increment();
+            return false;
+        }
+
+        const Prefix prefix = unrollPrefix(session, instance, fixedLayout, options, result.stats);
+        if (prefix.cancelled) {
+            return false;
+        }
+        if (prefix.sat) {
+            // The first SAT horizon k completes at step k-1, and every
+            // shorter prefix was refuted.
+            completionSteps = prefix.horizon - 1;
+        } else {
+            const obs::Span minimizeSpan("minimize.completion_time");
+            const auto search = opt::smallestFeasibleIndex(
+                *session.backend, [&](int step) { return encoder.doneAllLiteral(step); },
+                prefix.completionFloor, hi, options.timeSearch);
+            result.stats.solveCalls += search.solveCalls;
+            if (!search.feasible) {
+                return false;
+            }
+            completionSteps = search.index;
+        }
+
+        if (options.lexicographicSections && fixedLayout == nullptr) {
+            // Freeze the optimal completion time (and the prefix's open-stop
+            // guard, when one is active), then minimize virtual borders.
+            const cnf::Literal guard = encoder.horizonGuardLiteral();
+            if (guard.valid()) {
+                session.backend->addUnit(guard);
+            }
+            session.backend->addUnit(encoder.doneAllLiteral(completionSteps));
+            return minimizeBorders(session, {}, options, result.stats);
+        }
+        return true;
+    });
+    if (result.solution) {
+        result.feasible = true;
+        result.verdict = OptimizeVerdict::Feasible;
+        result.completionSteps = completionSteps;
+        result.sectionCount = result.solution->sectionCount;
+    }
+    return result;
+}
 
 }  // namespace
 
@@ -370,107 +395,5 @@ OptimizationResult optimizeScheduleOnLayout(const Instance& instance, const VssL
                                             const TaskOptions& options) {
     return optimizeImpl(instance, &layout, options);
 }
-
-namespace {
-
-OptimizationResult optimizeImpl(const Instance& instance, const VssLayout* fixedLayout,
-                                const TaskOptions& options) {
-    const obs::Span span("task.optimize");
-    const auto start = Clock::now();
-    OptimizationResult result;
-    if (lintRejects(instance, options, "optimize")) {
-        result.stats.runtimeSeconds = secondsSince(start);
-        return result;
-    }
-
-    SolveEngine engine = makeEngine(instance, options);
-    Encoder& encoder = engine.encoder();
-
-    // Primary objective: minimize the number of time steps until all trains
-    // have left (paper's min sum !done^t). done^t is monotone, so the optimum
-    // is the smallest step at which the done-all selector can hold.
-    result.completionLowerBound = encoder.completionLowerBound();
-    const int lo = result.completionLowerBound;
-    const int hi = instance.horizonSteps() - 1;
-    if (lo > hi) {
-        // The horizon admits no completion at all — a bound mismatch, not a
-        // proof of infeasibility. Report it distinctly (and skip encoding:
-        // no formula is needed to see it).
-        result.verdict = OptimizeVerdict::HorizonTooShort;
-        obs::Registry::global().counter("etcs.task.optimize.horizon_too_short").increment();
-        finishStats(result.stats, engine, "optimize", start);
-        return result;
-    }
-
-    if (options.unroll) {
-        const UnrollOutcome out = unrollSolve(engine, instance, fixedLayout, true);
-        recordUnroll(result.stats, out);
-        if (out.status != cnf::SolveStatus::Sat) {
-            finishStats(result.stats, engine, "optimize", start);
-            return result;
-        }
-        result.feasible = true;
-        result.verdict = OptimizeVerdict::Feasible;
-        // First SAT horizon k means completion at step k-1 and UNSAT
-        // everywhere below — exactly the monolithic smallest feasible index.
-        result.completionSteps = out.horizon - 1;
-
-        if (options.lexicographicSections && fixedLayout == nullptr) {
-            // Freeze the optimal completion time (and the prefix guard, when
-            // one is active), then minimize virtual borders.
-            const obs::Span minimizeSpan("minimize.borders");
-            const cnf::Literal guard = encoder.horizonGuardLiteral();
-            if (guard.valid()) {
-                engine.solver().addUnit(guard);
-            }
-            engine.solver().addUnit(encoder.doneAllLiteral(result.completionSteps));
-            const auto minimized = opt::minimizeTrueLiterals(
-                engine.solver(), encoder.freeBorderLiterals(), options.borderSearch);
-            result.stats.solveCalls += minimized.solveCalls;
-            ETCS_REQUIRE_MSG(minimized.feasible,
-                             "border minimization must stay feasible at the optimal time");
-        }
-
-        result.solution = encoder.decode();
-        result.sectionCount = result.solution->sectionCount;
-        finishStats(result.stats, engine, "optimize", start);
-        return result;
-    }
-
-    engine.encode(fixedLayout);
-    opt::IndexSearchResult search;
-    {
-        const obs::Span minimizeSpan("minimize.completion_time");
-        search = opt::smallestFeasibleIndex(
-            engine.solver(), [&](int step) { return encoder.doneAllLiteral(step); }, lo, hi,
-            options.timeSearch);
-    }
-    result.stats.solveCalls = search.solveCalls;
-    if (!search.feasible) {
-        finishStats(result.stats, engine, "optimize", start);
-        return result;
-    }
-    result.feasible = true;
-    result.verdict = OptimizeVerdict::Feasible;
-    result.completionSteps = search.index;
-
-    if (options.lexicographicSections && fixedLayout == nullptr) {
-        // Freeze the optimal completion time, then minimize virtual borders.
-        const obs::Span minimizeSpan("minimize.borders");
-        engine.solver().addUnit(encoder.doneAllLiteral(search.index));
-        const auto minimized = opt::minimizeTrueLiterals(
-            engine.solver(), encoder.freeBorderLiterals(), options.borderSearch);
-        result.stats.solveCalls += minimized.solveCalls;
-        ETCS_REQUIRE_MSG(minimized.feasible,
-                         "border minimization must stay feasible at the optimal time");
-    }
-
-    result.solution = encoder.decode();
-    result.sectionCount = result.solution->sectionCount;
-    finishStats(result.stats, engine, "optimize", start);
-    return result;
-}
-
-}  // namespace
 
 }  // namespace etcs::core

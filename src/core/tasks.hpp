@@ -46,9 +46,10 @@ struct TaskOptions {
     /// meaningful when the portfolio backend is selected via `threads`.
     bool deterministicPortfolio = false;
     /// Progress/cancellation hook forwarded to the backend (see
-    /// sat::ProgressCallback). Returning false aborts the running solve;
-    /// the task then reports infeasible/incomplete. Ignored by backends
-    /// without progress support (e.g. Z3).
+    /// sat::ProgressCallback). Returning false aborts the running solve,
+    /// and the task stops there: it reports not feasible, with no solution,
+    /// whichever of its solves was cancelled (results have no "unknown"
+    /// verdict yet). Ignored by backends without progress support (e.g. Z3).
     sat::ProgressCallback progress;
     /// Conflicts between progress callbacks.
     std::uint64_t progressIntervalConflicts = 16384;
@@ -59,21 +60,15 @@ struct TaskOptions {
     /// way; set to false to opt out and always hand the instance to the
     /// solver.
     bool lintInstance = true;
-    /// Solve by counterexample-guided abstraction refinement (core/cegar.hpp,
-    /// docs/CEGAR.md): encode everything except the pass_through family, then
-    /// lazily materialize only the (run, step) pass-through cells the
-    /// simulator oracle refutes. Same verdicts and witnesses, usually far
-    /// fewer clauses. The backend factory/threads settings select the solver
-    /// the CEGAR session drives.
-    bool cegar = false;
-    /// Unroll the time axis lazily (BMC-style, docs/UNROLLING.md): encode a
-    /// short horizon prefix, probe it under the all-trains-done assumption on
-    /// the warm incremental backend, and extend step by step only while the
-    /// probe is UNSAT — so tasks stop encoding steps past completion and
-    /// optimizeSchedule's completion search becomes "first horizon that is
-    /// SAT". Same verdicts, witnesses, and objective values as the monolithic
-    /// encoding; composes with `cegar` (the prefix is then the CEGAR
-    /// abstraction of the prefix).
+    /// Unroll the time axis lazily (BMC-style, docs/UNROLLING.md). Every
+    /// task runs one prefix loop before its objective; by default it starts
+    /// at the full horizon and only encodes. With `unroll` it starts at the
+    /// shortest horizon all trains could finish in, probes each prefix
+    /// under the all-trains-done assumption on the warm incremental
+    /// backend, and extends it one step per UNSAT probe. A SAT probe ends
+    /// the loop (for optimizeSchedule it is the optimal completion time);
+    /// otherwise the objective runs at the full horizon. Same verdicts,
+    /// witnesses and objective values as the default.
     bool unroll = false;
 };
 
@@ -92,19 +87,12 @@ struct TaskStats {
     std::uint64_t restarts = 0;
     std::uint64_t maxDecisionLevel = 0;
     std::uint64_t peakLearnts = 0;
-    // CEGAR loop counters (all 0 unless TaskOptions::cegar); numClauses then
-    // reports the *final refined* formula, directly comparable against the
-    // monolithic encoding's clause count.
-    int cegarIterations = 0;
-    int cegarOracleRejections = 0;
-    int cegarRefinedCells = 0;
-    std::size_t cegarRefinementClauses = 0;
     // Horizon unrolling counters (all 0 unless TaskOptions::unroll);
     // numVariables/numClauses then report the final *unrolled* formula,
     // directly comparable against the monolithic encoding's counts.
-    int unrollProbes = 0;         ///< horizon probes on the warm backend
+    int unrollProbes = 0;         ///< prefix probes below the full horizon
     int unrollStartHorizon = 0;   ///< first encoded prefix length (steps)
-    int unrollFinalHorizon = 0;   ///< horizon at which the verdict fell
+    int unrollFinalHorizon = 0;   ///< horizon the prefix loop reached
 };
 
 struct VerificationResult {

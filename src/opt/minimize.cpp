@@ -95,12 +95,15 @@ MinimizeResult minimizeImpl(SatBackend& backend, std::span<const Literal> soft,
     const int maxTotal = static_cast<int>(totalizerInputs.size());
 
     bool lastProbeSat = false;
+    bool cancelled = false;
     auto solveAtMost = [&](int k) {
         ++result.solveCalls;
         assumptions.resize(alwaysAssume.size());
         assumptions.push_back(totalizer.atMostAssumption(static_cast<std::size_t>(k)));
-        const bool sat = backend.solve(assumptions) == SolveStatus::Sat;
+        const SolveStatus status = backend.solve(assumptions);
+        const bool sat = status == SolveStatus::Sat;
         lastProbeSat = sat;
+        cancelled = status == SolveStatus::Unknown;
         recordBoundProbe("opt.tighten_bound", k, sat);
         if (sat) {
             recordIncumbent(weightedCount(backend, soft, weights));
@@ -120,7 +123,7 @@ MinimizeResult minimizeImpl(SatBackend& backend, std::span<const Literal> soft,
         }
         case SearchStrategy::LinearUp: {
             int bound = 0;
-            while (bound < incumbent && !solveAtMost(bound)) {
+            while (bound < incumbent && !solveAtMost(bound) && !cancelled) {
                 ++bound;
             }
             incumbent = (bound < incumbent) ? weightedCount(backend, soft, weights) : incumbent;
@@ -139,6 +142,8 @@ MinimizeResult minimizeImpl(SatBackend& backend, std::span<const Literal> soft,
                     if (onImproved) {
                         onImproved(hi);
                     }
+                } else if (cancelled) {
+                    break;
                 } else {
                     lo = mid + 1;
                 }
@@ -146,6 +151,12 @@ MinimizeResult minimizeImpl(SatBackend& backend, std::span<const Literal> soft,
             incumbent = lo;
             break;
         }
+    }
+    // A cancelled probe (SolveStatus::Unknown) refutes nothing, so the search
+    // stops at the first one and reports no optimum, as a cancelled first
+    // solve does.
+    if (cancelled) {
+        return MinimizeResult{.solveCalls = result.solveCalls};
     }
     result.optimum = incumbent;
 
@@ -157,15 +168,19 @@ MinimizeResult minimizeImpl(SatBackend& backend, std::span<const Literal> soft,
     }
     // After a final UNSAT probe, re-solve at the optimum so callers can
     // decode right after return: the backend's current model may be stale
-    // (the portfolio reads the last solve's winner, and a CEGAR session's
-    // inner model may be a rejected candidate).
+    // (the portfolio reads the last solve's winner).
     bool ok = false;
     if (incumbent < maxTotal) {
         ok = solveAtMost(incumbent);
     } else {
         ++result.solveCalls;
         assumptions.resize(alwaysAssume.size());
-        ok = backend.solve(assumptions) == SolveStatus::Sat;
+        const SolveStatus status = backend.solve(assumptions);
+        ok = status == SolveStatus::Sat;
+        cancelled = status == SolveStatus::Unknown;
+    }
+    if (cancelled) {
+        return MinimizeResult{.solveCalls = result.solveCalls};
     }
     ETCS_REQUIRE_MSG(ok, "optimal bound must be satisfiable");
     return result;
@@ -211,13 +226,16 @@ IndexSearchResult smallestFeasibleIndex(SatBackend& backend,
     std::vector<Literal> assumptions(alwaysAssume.begin(), alwaysAssume.end());
     int lastProbedIndex = lo - 1;
     bool lastProbeSat = false;
+    bool cancelled = false;
     auto feasible = [&](int t) {
         ++result.solveCalls;
         assumptions.resize(alwaysAssume.size());
         assumptions.push_back(literalAt(t));
-        const bool sat = backend.solve(assumptions) == SolveStatus::Sat;
+        const SolveStatus status = backend.solve(assumptions);
+        const bool sat = status == SolveStatus::Sat;
         lastProbedIndex = t;
         lastProbeSat = sat;
+        cancelled = status == SolveStatus::Unknown;
         recordBoundProbe("opt.probe_index", t, sat);
         return sat;
     };
@@ -234,6 +252,10 @@ IndexSearchResult smallestFeasibleIndex(SatBackend& backend,
                 const int mid = infeasibleLo + (feasibleHi - infeasibleLo) / 2;
                 if (feasible(mid)) {
                     feasibleHi = mid;
+                } else if (cancelled) {
+                    // As in minimizeImpl: the first cancelled probe ends
+                    // the search with no index found.
+                    return IndexSearchResult{.solveCalls = result.solveCalls};
                 } else {
                     infeasibleLo = mid;
                 }
@@ -243,7 +265,7 @@ IndexSearchResult smallestFeasibleIndex(SatBackend& backend,
             break;
         }
         case SearchStrategy::LinearUp: {
-            for (int t = lo; t <= hi; ++t) {
+            for (int t = lo; t <= hi && !cancelled; ++t) {
                 if (feasible(t)) {
                     result.feasible = true;
                     result.index = t;
@@ -263,6 +285,9 @@ IndexSearchResult smallestFeasibleIndex(SatBackend& backend,
                 }
                 best = t;
             }
+            if (cancelled) {
+                return IndexSearchResult{.solveCalls = result.solveCalls};
+            }
             result.feasible = true;
             result.index = best;
             break;
@@ -274,6 +299,9 @@ IndexSearchResult smallestFeasibleIndex(SatBackend& backend,
         // (LinearUp always ends there; the others often do), sparing one
         // solver call per search.
         const bool ok = feasible(result.index);
+        if (cancelled) {
+            return IndexSearchResult{.solveCalls = result.solveCalls};
+        }
         ETCS_REQUIRE_MSG(ok, "optimal index must remain satisfiable");
     }
     return result;

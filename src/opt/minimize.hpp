@@ -34,7 +34,9 @@ enum class SearchStrategy {
 /// Outcome of a minimization run. When feasible, the backend's model is left
 /// at an optimal assignment (callers decode directly from the backend).
 struct MinimizeResult {
-    bool feasible = false;       ///< false: hard constraints are unsatisfiable.
+    bool feasible = false;       ///< false: hard constraints are unsatisfiable, or a
+                                 ///< solve was cancelled (SolveStatus::Unknown),
+                                 ///< which ends the search at once.
     int optimum = 0;             ///< minimum number of true soft literals.
     std::uint64_t solveCalls = 0;
 };
@@ -61,7 +63,8 @@ MinimizeResult minimizeWeightedTrueLiterals(SatBackend& backend,
 
 /// Outcome of a monotone feasibility search.
 struct IndexSearchResult {
-    bool feasible = false;  ///< false: no index in [lo, hi] is feasible.
+    bool feasible = false;  ///< false: no index in [lo, hi] is feasible, or a solve
+                            ///< was cancelled, which ends the search at once.
     int index = 0;          ///< smallest feasible index.
     std::uint64_t solveCalls = 0;
 };

@@ -1,6 +1,6 @@
 /// \file check.hpp
-/// Claim-based acceptance checker for occupancy timelines — the CEGAR
-/// oracle (see core/cegar.hpp and docs/CEGAR.md).
+/// Claim-based acceptance checker for occupancy timelines — the tests'
+/// independent acceptance checker beside core::validateSolution.
 ///
 /// `checkTimeline` replays a candidate execution step by step the way the
 /// movement-authority simulator does: every train claims the VSS sections it
@@ -15,12 +15,12 @@
 /// encoding's constraint families C1-C4 admit (core/encoder.hpp); in
 /// particular the pass-through corridor is the segment-level path union the
 /// encoder's sweep variables range over, NOT the simulator's coarser
-/// section-level claim. That precision is what makes the checker usable as
-/// a CEGAR oracle: a rejected model always maps to a refinable
-/// (run, step) pass-through cell, and an accepted model is a witness that
-/// also passes core::validateSolution. Like the simulator, this file shares
-/// no code with the encoder or validator (it links only railway + util), so
-/// it doubles as an independent differential oracle in tests.
+/// section-level claim. So every SAT witness of the encoding must pass it,
+/// and every timeline it accepts must also pass core::validateSolution.
+/// Like the simulator, this file shares no code with the encoder or
+/// validator (it links only railway + util), which is what makes it an
+/// independent differential oracle in tests (tests/dwell_test.cpp,
+/// tests/gen_fuzz_test.cpp).
 #pragma once
 
 #include <optional>
@@ -61,8 +61,8 @@ enum class ViolationKind {
 };
 
 /// One violated rule. For PassThrough, (train, step) names the movement cell
-/// between `step` and `step + 1` — the refinement coordinates of the CEGAR
-/// loop; `other`/`segment` pin down the collision for diagnostics.
+/// between `step` and `step + 1`; `other`/`segment` pin down the collision
+/// for diagnostics.
 struct TimelineViolation {
     ViolationKind kind = ViolationKind::Presence;
     int train = -1;        ///< offending (for PassThrough: moving) train

@@ -1,8 +1,8 @@
 /// \file cli_test.cpp
 /// End-to-end exit-code and output contracts of the shipped command-line
-/// tools: etcslint, gencnf, dratcheck, etcs_explain, benchdiff, etcsgen and
+/// tools: etcslint, gencnf, dratcheck, etcs_explain, benchdiff, etcsgen,
 /// etcs_cli (the latter two over the frozen generated corpus in
-/// tests/fixtures/gen/, see docs/GENERATOR.md). Exit code conventions:
+/// tests/fixtures/gen/, see docs/GENERATOR.md) and sat_solve. Exit code conventions:
 /// 0 success (for etcslint: no error-severity findings; for etcs_explain:
 /// feasible), 1 findings / NOT VERIFIED / infeasible / regressions, 2 usage
 /// or I/O error — and never partial output on failure.
@@ -11,6 +11,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -38,6 +39,9 @@
 #endif
 #ifndef ETCS_CLI_BIN
 #error "ETCS_CLI_BIN must point at the etcs_cli executable"
+#endif
+#ifndef ETCS_SAT_SOLVE_BIN
+#error "ETCS_SAT_SOLVE_BIN must point at the sat_solve executable"
 #endif
 #ifndef ETCS_DATA_DIR
 #error "ETCS_DATA_DIR must point at the repository's data/ directory"
@@ -78,6 +82,7 @@ const std::string kExplain = ETCS_EXPLAIN_BIN;
 const std::string kBenchdiff = ETCS_BENCHDIFF_BIN;
 const std::string kEtcsgen = ETCS_ETCSGEN_BIN;
 const std::string kEtcsCli = ETCS_CLI_BIN;
+const std::string kSatSolve = ETCS_SAT_SOLVE_BIN;
 const std::string kData = ETCS_DATA_DIR;
 const std::string kFixtures = ETCS_FIXTURE_DIR;
 
@@ -498,6 +503,27 @@ TEST(EtcsExplainCli, GenInfeasibleCorpusGetsACertifiedExplanation) {
     EXPECT_EQ(result.exitCode, 1) << result.output;
     EXPECT_NE(result.output.find("certified UNSAT core"), std::string::npos)
         << result.output;
+}
+
+/// Removed solve modes fail loudly: a script that still passes one gets the
+/// usage message and exit 2 instead of a run in another mode.
+TEST(EtcsCli, RemovedSolveModeFlagIsAUsageError) {
+    const auto result = run(kEtcsCli + " verify " + kData + "/quickstart.rail " + kData +
+                            "/quickstart.sched --rs 500 --rt 30 --cegar");
+    EXPECT_EQ(result.exitCode, 2) << result.output;
+    EXPECT_NE(result.output.find("usage: etcs_cli"), std::string::npos) << result.output;
+}
+
+TEST(SatSolveCli, RemovedSolveModeFlagsAreUsageErrors) {
+    const std::string cnf =
+        writeTempFile("sat_solve_removed_flags.cnf", "p cnf 2 2\n1 2 0\n-1 0\n");
+    for (const char* flag : {"--cegar", "--unroll"}) {
+        SCOPED_TRACE(flag);
+        const auto result = run(kSatSolve + " " + flag + " " + cnf);
+        EXPECT_EQ(result.exitCode, 2) << result.output;
+        EXPECT_NE(result.output.find("usage: sat_solve"), std::string::npos) << result.output;
+    }
+    std::remove(cnf.c_str());
 }
 
 }  // namespace

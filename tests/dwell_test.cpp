@@ -7,8 +7,8 @@
 #include "core/tasks.hpp"
 #include "core/validator.hpp"
 #include "railway/io.hpp"
-#include "sim/check.hpp"
 #include "studies/studies.hpp"
+#include "support/oracle_view.hpp"
 
 namespace etcs::core {
 namespace {
@@ -129,39 +129,15 @@ TEST(Dwell, ValidatorCatchesShortenedDwell) {
     EXPECT_FALSE(violations.empty());
 }
 
-/// The instance's runs in the CEGAR oracle's vocabulary (the same mapping
-/// core::EncodeSession::encode performs).
-std::vector<sim::CheckTrain> oracleView(const Instance& instance) {
-    std::vector<sim::CheckTrain> trains;
-    for (const DiscreteRun& r : instance.runs()) {
-        sim::CheckTrain train;
-        train.name = instance.trains().train(r.train).name;
-        train.originSegment = r.originSegment;
-        train.departureStep = r.departureStep;
-        train.lengthSegments = r.lengthSegments;
-        train.speedSegments = r.speedSegments;
-        for (const DiscreteStop& stop : r.stops) {
-            train.stops.push_back(sim::CheckStop{stop.segment, stop.arrivalStep,
-                                                 stop.dwellSteps});
-        }
-        trains.push_back(std::move(train));
-    }
-    return trains;
-}
-
-/// Regression (found by the CEGAR oracle): validateSolution and
-/// sim::checkTimeline must accept exactly the same timelines, in particular
-/// on release/dwell boundaries. Both sides of each case are asserted so an
-/// off-by-one on either checker fails the test.
+/// Regression (a validator gap that sim::checkTimeline, the independent
+/// acceptance checker, exposed): validateSolution and sim::checkTimeline
+/// must accept exactly the same timelines, in particular on release/dwell
+/// boundaries. Both sides of each case are asserted so an off-by-one on
+/// either checker fails the test.
 void expectBothCheckersAgree(const Instance& instance, const Solution& solution,
                              bool accepted, const char* what) {
     const auto validator = validateSolution(instance, solution);
-    sim::Timeline timeline;
-    for (const RunTrace& trace : solution.traces) {
-        timeline.push_back(trace.occupied);
-    }
-    const auto oracle = sim::checkTimeline(instance.graph(), solution.layout.flags(),
-                                           oracleView(instance), timeline);
+    const auto oracle = test::checkWithOracle(instance, solution);
     EXPECT_EQ(validator.empty(), accepted) << what << ": validator";
     EXPECT_EQ(oracle.empty(), accepted) << what << ": oracle";
 }
@@ -245,7 +221,7 @@ TEST(Dwell, CheckersAgreeOnReleaseBoundary) {
     // Backing away from the destination and then vanishing releases the
     // claimed sections away from the destination: rejected by both. (The
     // validator used to accept this — the stop windows are all honoured —
-    // which is exactly the gap the CEGAR oracle exposed.)
+    // which is exactly the gap sim::checkTimeline exposed.)
     expectBothCheckersAgree(instance, timelineWith({SegmentId(3u)}), false,
                             "release away from destination");
 }

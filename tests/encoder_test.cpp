@@ -162,24 +162,6 @@ TEST(Encoder, OppositeTrainsCannotPassOnSingleTrack) {
     EXPECT_EQ(backend->solve(), cnf::SolveStatus::Unsat);
 }
 
-TEST(Encoder, DisablingPassThroughAllowsTheUnphysicalSwap) {
-    // Ablation sanity check: without C4 the swap becomes (wrongly) feasible,
-    // which is exactly why the constraint exists.
-    LineWorld w;
-    const auto t1 = w.trains.addTrain("T1", Speed::fromKmPerHour(120), Meters(100));
-    const auto t2 = w.trains.addTrain("T2", Speed::fromKmPerHour(120), Meters(100));
-    Schedule s;
-    s.addRun(w.run(t1, "StA", "StB", 0, 10));
-    s.addRun(w.run(t2, "StB", "StA", 0, 10));
-    const Instance instance(w.network, w.trains, s, kRes);
-    const auto backend = cnf::makeInternalBackend();
-    EncoderOptions options;
-    options.encodePassThrough = false;
-    Encoder encoder(*backend, instance, options);
-    encoder.encode(nullptr);
-    EXPECT_EQ(backend->solve(), cnf::SolveStatus::Sat);
-}
-
 TEST(Encoder, UnreachablePinnedStopYieldsUnsat) {
     LineWorld w;
     const auto t = w.trains.addTrain("T", Speed::fromKmPerHour(120), Meters(100));

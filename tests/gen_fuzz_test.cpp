@@ -11,18 +11,17 @@
 ///   * solver vs. simulator: a completed greedy simulation converts into a
 ///     core::Solution that must pass the solution validator (the oracle of
 ///     gen/oracle.hpp), and the solver's own SAT witnesses must too;
+///   * solver vs. acceptance checker: every SAT witness of the reference
+///     verification must also pass sim::checkTimeline (sim/check.hpp), which
+///     shares no code with the encoder or the validator;
 ///   * backend vs. backend: internal, deterministic portfolio, and (when
 ///     built in) Z3 must agree on every verdict;
 ///   * pruned vs. unpruned: the reachability-pruned encoding (the default;
 ///     certifyUnsat also DRAT-checks its refutations) must agree with the
 ///     full encoding on every verdict, and both witnesses must validate;
-///   * CEGAR vs. monolithic: the lazy pass-through loop (core/cegar.hpp)
-///     must reach the reference verdict on every scenario with a validating
-///     witness and a formula no larger than the monolithic one, and the
-///     sweep as a whole must exercise at least one oracle-driven refinement;
-///   * CEGAR x unrolling vs. monolithic: the cross product of the lazy
-///     pass-through loop and BMC-style horizon unrolling (docs/UNROLLING.md)
-///     must reach the reference verdict with a validating witness too.
+///   * unrolled vs. monolithic: BMC-style horizon unrolling
+///     (docs/UNROLLING.md) must reach the reference verdict with a
+///     validating witness.
 ///
 /// Reproduce a failure with ETCS_TEST_SEED=N or --seed=N (see
 /// support/test_seed.hpp); the per-scenario SCOPED_TRACE names the instance.
@@ -44,6 +43,7 @@
 #include "sat/drat_check.hpp"
 #include "sat/proof.hpp"
 #include "sat/solver.hpp"
+#include "support/oracle_view.hpp"
 #include "support/test_seed.hpp"
 
 namespace {
@@ -84,7 +84,6 @@ TEST(GenFuzz, DifferentialBattery) {
     SCOPED_TRACE(etcs::test::seedTrace(baseSeed));
 
     int scenarios = 0;
-    std::uint64_t cegarOracleRejections = 0;
     for (int round = 0; round < kRoundsPerCombination; ++round) {
         for (Family family : etcs::gen::allFamilies()) {
             for (ScheduleKind kind : etcs::gen::allScheduleKinds()) {
@@ -121,12 +120,16 @@ TEST(GenFuzz, DifferentialBattery) {
                         << "provably infeasible scenario is SAT";
                 }
 
-                // Solver SAT witnesses satisfy the independent validator.
+                // Solver SAT witnesses satisfy the validator and the
+                // independent acceptance checker.
                 if (verdict.feasible) {
                     ASSERT_TRUE(verdict.solution.has_value());
                     EXPECT_TRUE(
                         etcs::core::validateSolution(instance, *verdict.solution)
                             .empty());
+                    EXPECT_TRUE(
+                        etcs::test::checkWithOracle(instance, *verdict.solution).empty())
+                        << "SAT witness fails sim::checkTimeline";
                 }
 
                 // Reachability pruning soundness: the unpruned encoding
@@ -183,47 +186,22 @@ TEST(GenFuzz, DifferentialBattery) {
                     }
                 }
 
-                // CEGAR agreement: the lazy pass-through encoding must reach
-                // the reference verdict with a validating witness and never
-                // more clauses than the monolithic formula.
-                etcs::core::TaskOptions cegarOptions;
-                cegarOptions.lintInstance = false;
-                cegarOptions.cegar = true;
-                const auto cegarVerdict =
-                    etcs::core::verifySchedule(instance, finest, cegarOptions);
-                EXPECT_EQ(cegarVerdict.feasible, verdict.feasible)
-                    << "CEGAR and monolithic encodings disagree";
-                if (cegarVerdict.feasible) {
-                    ASSERT_TRUE(cegarVerdict.solution.has_value());
+                // Unrolling agreement: the prefix loop must reach the
+                // reference verdict with a validating witness.
+                etcs::core::TaskOptions unrolled;
+                unrolled.lintInstance = false;
+                unrolled.unroll = true;
+                const auto unrolledVerdict =
+                    etcs::core::verifySchedule(instance, finest, unrolled);
+                EXPECT_EQ(unrolledVerdict.feasible, verdict.feasible)
+                    << "unrolled and monolithic encodings disagree";
+                if (unrolledVerdict.feasible) {
+                    ASSERT_TRUE(unrolledVerdict.solution.has_value());
                     EXPECT_TRUE(
-                        etcs::core::validateSolution(instance, *cegarVerdict.solution)
+                        etcs::core::validateSolution(instance, *unrolledVerdict.solution)
                             .empty())
-                        << "CEGAR witness fails the solution validator";
+                        << "unrolled witness fails the solution validator";
                 }
-                EXPECT_LE(cegarVerdict.stats.numClauses, verdict.stats.numClauses)
-                    << "lazy encoding exceeds the monolithic clause count";
-                EXPECT_GE(cegarVerdict.stats.cegarIterations, 1);
-                cegarOracleRejections += static_cast<std::uint64_t>(
-                    cegarVerdict.stats.cegarOracleRejections);
-
-                // CEGAR x unrolling: the abstraction of a lazily-extended
-                // horizon prefix must still reach the reference verdict.
-                etcs::core::TaskOptions crossOptions;
-                crossOptions.lintInstance = false;
-                crossOptions.cegar = true;
-                crossOptions.unroll = true;
-                const auto crossVerdict =
-                    etcs::core::verifySchedule(instance, finest, crossOptions);
-                EXPECT_EQ(crossVerdict.feasible, verdict.feasible)
-                    << "CEGAR x unrolling disagrees with the monolithic encoding";
-                if (crossVerdict.feasible) {
-                    ASSERT_TRUE(crossVerdict.solution.has_value());
-                    EXPECT_TRUE(
-                        etcs::core::validateSolution(instance, *crossVerdict.solution)
-                            .empty())
-                        << "CEGAR x unrolling witness fails the solution validator";
-                }
-                EXPECT_GE(crossVerdict.stats.unrollProbes, 1);
 
                 // Backend agreement.
                 etcs::core::TaskOptions portfolio;
@@ -247,12 +225,6 @@ TEST(GenFuzz, DifferentialBattery) {
         }
     }
     EXPECT_GE(scenarios, 200);
-    // Sanity check on the refinement machinery itself: across 200+ scenarios
-    // the oracle must have rejected at least one abstraction model — a sweep
-    // where the abstraction is never refuted would mean the CEGAR arm only
-    // ever exercised the trivial path.
-    EXPECT_GE(cegarOracleRejections, 1U)
-        << "no scenario in the sweep triggered an oracle-driven refinement";
 }
 
 }  // namespace

@@ -3,12 +3,14 @@
 // return.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <random>
 #include <string>
 #include <vector>
 
 #include "cnf/backend.hpp"
 #include "opt/minimize.hpp"
+#include "support/cancelling_backend.hpp"
 #include "util/error.hpp"
 
 namespace etcs::opt {
@@ -51,6 +53,31 @@ TEST_P(StrategyTest, CoveringConstraintForcesMinimum) {
         count += backend->modelValue(l) ? 1 : 0;
     }
     EXPECT_EQ(count, 3);
+}
+
+/// A cancelled probe refutes nothing: wherever the search is cancelled, it
+/// stops there and reports no optimum instead of throwing on a re-solve.
+TEST_P(StrategyTest, CancelledProbeEndsTheSearch) {
+    const auto run = [&](std::uint64_t cancelFrom) {
+        std::uint64_t solves = 0;
+        test::CancellingBackend backend(cancelFrom, solves);
+        const auto soft = makeInputs(backend, 6);
+        backend.addClause({soft[0], soft[1]});
+        backend.addClause({soft[2], soft[3]});
+        backend.addClause({soft[4], soft[5]});
+        const auto result = minimizeTrueLiterals(backend, soft, GetParam());
+        EXPECT_EQ(result.solveCalls, solves);
+        return result;
+    };
+    const auto uncancelled = run(UINT64_MAX);
+    ASSERT_TRUE(uncancelled.feasible);
+    for (std::uint64_t cancelFrom = 1; cancelFrom <= uncancelled.solveCalls; ++cancelFrom) {
+        SCOPED_TRACE("cancelled from solve " + std::to_string(cancelFrom));
+        MinimizeResult cancelled{.feasible = true};
+        EXPECT_NO_THROW(cancelled = run(cancelFrom));
+        EXPECT_FALSE(cancelled.feasible);
+        EXPECT_EQ(cancelled.solveCalls, cancelFrom);
+    }
 }
 
 TEST_P(StrategyTest, InfeasibleHardClausesReported) {
@@ -155,6 +182,33 @@ TEST_P(IndexSearchTest, FindsSmallestFeasibleIndex) {
     ASSERT_TRUE(result.feasible);
     EXPECT_EQ(result.index, 5);
     EXPECT_TRUE(backend->modelValue(y[5]));
+}
+
+/// As for minimization: the first cancelled probe ends the search, with no
+/// index found.
+TEST_P(IndexSearchTest, CancelledProbeEndsTheSearch) {
+    const auto run = [&](std::uint64_t cancelFrom) {
+        std::uint64_t solves = 0;
+        test::CancellingBackend backend(cancelFrom, solves);
+        std::vector<Literal> y = makeInputs(backend, 10);
+        for (int t = 0; t + 1 < 10; ++t) {
+            backend.addClause({~y[t], y[t + 1]});
+        }
+        backend.addClause({~y[4]});
+        const auto result = smallestFeasibleIndex(
+            backend, [&](int t) { return y[t]; }, 0, 9, GetParam());
+        EXPECT_EQ(result.solveCalls, solves);
+        return result;
+    };
+    const auto uncancelled = run(UINT64_MAX);
+    ASSERT_TRUE(uncancelled.feasible);
+    for (std::uint64_t cancelFrom = 1; cancelFrom <= uncancelled.solveCalls; ++cancelFrom) {
+        SCOPED_TRACE("cancelled from solve " + std::to_string(cancelFrom));
+        IndexSearchResult cancelled{.feasible = true};
+        EXPECT_NO_THROW(cancelled = run(cancelFrom));
+        EXPECT_FALSE(cancelled.feasible);
+        EXPECT_EQ(cancelled.solveCalls, cancelFrom);
+    }
 }
 
 TEST_P(IndexSearchTest, ReportsInfeasibleRange) {

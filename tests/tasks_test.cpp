@@ -2,9 +2,16 @@
 // 1-3) plus option behaviour.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <memory>
+#include <optional>
+#include <string>
+#include <utility>
+
 #include "core/tasks.hpp"
 #include "core/validator.hpp"
 #include "studies/studies.hpp"
+#include "support/cancelling_backend.hpp"
 
 namespace etcs::core {
 namespace {
@@ -157,6 +164,61 @@ TEST_F(RunningFixture, StatsRuntimeIsPopulated) {
     const auto result = generateLayout(timed);
     EXPECT_GT(result.stats.runtimeSeconds, 0.0);
     EXPECT_GT(result.stats.solveCalls, 0u);
+}
+
+/// Regression: a cancelled solve anywhere in a task — the prefix loop, the
+/// completion search, the border minimization or its re-solve — ends the
+/// task with no solution instead of a thrown PreconditionError. Cancels at
+/// every solve call an uncancelled run makes, on the default path and the
+/// unrolled one: generation on the complex layout, optimization on the
+/// running example (whose completion search and border pass are cheaper).
+TEST(Tasks, CancellationAtAnySolveReturnsNoSolution) {
+    const studies::CaseStudy complex = studies::complexLayout();
+    const Instance timed(complex.network, complex.trains, complex.timedSchedule,
+                         complex.resolution);
+    const studies::CaseStudy running = studies::runningExample();
+    const Instance open(running.network, running.trains, running.openSchedule,
+                        running.resolution);
+    for (const bool unroll : {false, true}) {
+        for (const bool optimize : {false, true}) {
+            SCOPED_TRACE(std::string(optimize ? "optimize" : "generate") +
+                         (unroll ? ", unrolled" : ""));
+            // Runs the task with solves cancelled from `cancelFrom` on;
+            // returns (feasible, solve calls made).
+            const auto run = [&](std::uint64_t cancelFrom) {
+                std::uint64_t solves = 0;
+                TaskOptions options;
+                options.unroll = unroll;
+                options.backendFactory = [cancelFrom, &solves] {
+                    return std::make_unique<test::CancellingBackend>(cancelFrom, solves);
+                };
+                std::optional<Solution> solution;
+                bool feasible = false;
+                if (optimize) {
+                    auto result = optimizeSchedule(open, options);
+                    feasible = result.feasible;
+                    solution = std::move(result.solution);
+                    EXPECT_EQ(result.completionSteps, feasible ? 9 : 0);
+                } else {
+                    auto result = generateLayout(timed, options);
+                    feasible = result.feasible;
+                    solution = std::move(result.solution);
+                }
+                EXPECT_EQ(solution.has_value(), feasible);
+                return std::pair{feasible, solves};
+            };
+            const auto [feasible, calls] = run(UINT64_MAX);
+            ASSERT_TRUE(feasible);
+            ASSERT_GE(calls, 2U);
+            for (std::uint64_t cancelFrom = 1; cancelFrom <= calls; ++cancelFrom) {
+                SCOPED_TRACE("cancelled from solve " + std::to_string(cancelFrom));
+                std::pair<bool, std::uint64_t> cancelled{true, 0};
+                EXPECT_NO_THROW(cancelled = run(cancelFrom));
+                EXPECT_FALSE(cancelled.first);
+                EXPECT_EQ(cancelled.second, cancelFrom) << "the task kept solving";
+            }
+        }
+    }
 }
 
 TEST(Tasks, IntermediateStopIsHonoured) {

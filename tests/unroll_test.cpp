@@ -5,7 +5,9 @@
 ///     shipped case study and the frozen generated corpus;
 ///   * objective agreement: generation finds the same minimal section count
 ///     and optimization the same minimal completion time as the monolithic
-///     search, including through the CEGAR x unrolling cross product;
+///     search;
+///   * a prefix and its extensions emit each pass_through cell exactly once,
+///     so the fully unrolled family equals the monolithic one;
 ///   * the optimize path reports a too-short horizon as its own verdict
 ///     (HorizonTooShort) without encoding or solving;
 ///   * proof soundness: UNSAT at the full horizon (assumption-free final
@@ -19,12 +21,14 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <map>
 #include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "cnf/backend.hpp"
 #include "cnf/collect.hpp"
-#include "core/cegar.hpp"
 #include "core/encoder.hpp"
 #include "core/instance.hpp"
 #include "core/layout.hpp"
@@ -126,10 +130,15 @@ AgreementResult expectVerifyAgreement(const Instance& instance, const VssLayout&
         (instance.numRuns() + 1);
     EXPECT_LE(unrolled.stats.numClauses, monolithic.stats.numClauses + selectorSlack)
         << "an unrolled prefix must not exceed the monolithic clause count";
-    EXPECT_GE(unrolled.stats.unrollProbes, 1);
     EXPECT_GE(unrolled.stats.unrollStartHorizon, 1);
     EXPECT_GE(unrolled.stats.unrollFinalHorizon, unrolled.stats.unrollStartHorizon);
     EXPECT_LE(unrolled.stats.unrollFinalHorizon, instance.horizonSteps());
+    // One UNSAT probe per extension, one more where a probe answered below
+    // the full horizon, and none at the full horizon (the task solves there).
+    const int finalHorizon = unrolled.stats.unrollFinalHorizon;
+    EXPECT_EQ(unrolled.stats.unrollProbes,
+              finalHorizon - unrolled.stats.unrollStartHorizon +
+                  (finalHorizon < instance.horizonSteps() ? 1 : 0));
     return AgreementResult{monolithic.feasible, monolithic.stats.numClauses,
                            unrolled.stats.numClauses};
 }
@@ -192,18 +201,6 @@ TEST(Unroll, GenerationAndOptimizationAgree) {
     EXPECT_EQ(unrolledOpt.sectionCount, monolithicOpt.sectionCount);
     EXPECT_TRUE(validateSolution(open, *unrolledOpt.solution).empty());
     EXPECT_EQ(unrolledOpt.stats.unrollFinalHorizon, unrolledOpt.completionSteps + 1);
-
-    // The CEGAR x unrolling cross product: the prefix is then the CEGAR
-    // abstraction of the prefix. Same verdicts, same objective.
-    TaskOptions both = unrollOptions();
-    both.cegar = true;
-    const auto crossOpt = optimizeSchedule(open, both);
-    ASSERT_EQ(crossOpt.feasible, monolithicOpt.feasible);
-    EXPECT_EQ(crossOpt.completionSteps, monolithicOpt.completionSteps);
-    EXPECT_EQ(crossOpt.sectionCount, monolithicOpt.sectionCount);
-    EXPECT_TRUE(validateSolution(open, *crossOpt.solution).empty());
-    EXPECT_GT(crossOpt.stats.cegarIterations, 0);
-    EXPECT_GE(crossOpt.stats.unrollProbes, 1);
 }
 
 TEST(Unroll, OptimizeOnFixedLayoutAgrees) {
@@ -324,39 +321,62 @@ TEST(Unroll, UnsatProofRecertifies) {
     std::remove(proofPath.c_str());
 }
 
-/// The same certification through the CEGAR session: prefix abstraction,
-/// per-step extension, refinements, and a final assumption-free UNSAT whose
-/// proof checks against the recorded (refined, unrolled) formula.
-TEST(Unroll, CegarUnrollUnsatProofRecertifies) {
-    const studies::CaseStudy study = studies::runningExample();
-    const Instance instance(study.network, study.trains, study.timedSchedule,
-                            study.resolution);
-    const VssLayout pure(instance.graph());
-    const int fullHorizon = instance.horizonSteps();
-
-    CegarOptions options;
-    options.recordFormula = true;
-    EncodeSession session(instance, options);
-    sat::MemoryProofWriter proof;
-    ASSERT_TRUE(session.setProofWriter(&proof));
-
-    int k = driverStartHorizon(instance, session.encoder().completionLowerBound());
-    session.encodePrefix(&pure, k);
-    cnf::SolveStatus status = cnf::SolveStatus::Unknown;
-    for (;; ++k) {
-        if (k == fullHorizon) {
-            status = session.solve();
-            break;
+/// The pass_through family's (variables, clauses).
+std::pair<int, std::size_t> passThroughSize(const Encoder& encoder) {
+    for (const FamilyCounts& counts : encoder.familyCounts()) {
+        if (counts.family == "pass_through") {
+            return {counts.variables, counts.clauses};
         }
-        status = session.solve({session.encoder().doneAllLiteral(k - 1)});
-        if (status != cnf::SolveStatus::Unsat) {
-            break;
-        }
-        session.extendHorizon(k + 1);
     }
-    ASSERT_EQ(status, cnf::SolveStatus::Unsat);
-    const auto check = sat::checkDrat(session.formula(), proof.proof());
-    EXPECT_TRUE(check.verified) << check.error;
+    return {0, 0};
+}
+
+/// pass_through clauses per (run, other run, step) block, read from the
+/// provenance side-table.
+std::map<std::tuple<int, int, int>, std::size_t> passThroughBlocks(const Encoder& encoder) {
+    std::map<std::tuple<int, int, int>, std::size_t> blocks;
+    const ProvenanceTable& table = *encoder.provenance();
+    for (std::size_t span = 0; span < table.numSpans(); ++span) {
+        const ClauseProvenance& record = table.record(span);
+        if (record.family == "pass_through") {
+            blocks[{record.run, record.run2, record.step}] += table.spanClauseCount(span);
+        }
+    }
+    return blocks;
+}
+
+/// A horizon-k prefix emits the pass_through cells [departure, k-1) and an
+/// extension to k' the cells [k-1, k'-1), so the driver's start prefix
+/// extended step by step to the full horizon holds each cell exactly once:
+/// the same family size and per-cell blocks as encode() (on the open
+/// schedules 7,012 / 61,874 / 229,103 / 141,304 clauses).
+TEST(Unroll, PrefixAndExtensionsEmitEachPassThroughCellOnce) {
+    const std::vector<studies::CaseStudy> cases = {
+        studies::runningExample(), studies::simpleLayout(), studies::complexLayout(),
+        studies::nordlandsbanen()};
+    EncoderOptions options;
+    options.trackProvenance = true;
+    for (const studies::CaseStudy& study : cases) {
+        SCOPED_TRACE(study.name);
+        const Instance open(study.network, study.trains, study.openSchedule,
+                            study.resolution);
+        cnf::CollectingBackend monolithicBackend;
+        Encoder monolithic(monolithicBackend, open, options);
+        monolithic.encode(nullptr);
+
+        cnf::CollectingBackend unrolledBackend;
+        Encoder unrolled(unrolledBackend, open, options);
+        int k = driverStartHorizon(open, unrolled.completionLowerBound());
+        ASSERT_LT(k, open.horizonSteps()) << "the pin needs at least one extension";
+        unrolled.encodePrefix(nullptr, k);
+        while (k < open.horizonSteps()) {
+            unrolled.extendHorizon(++k);
+        }
+
+        EXPECT_GT(passThroughSize(monolithic).second, 0U);
+        EXPECT_EQ(passThroughSize(unrolled), passThroughSize(monolithic));
+        EXPECT_EQ(passThroughBlocks(unrolled), passThroughBlocks(monolithic));
+    }
 }
 
 /// The acceptance pin: on Nordlandsbanen's open schedule, stopping the
