@@ -26,6 +26,9 @@ namespace etcs::core {
 struct TaskOptions {
     EncoderOptions encoder;
     opt::SearchStrategy borderSearch = opt::SearchStrategy::LinearDown;
+    /// Completion-time search. `Binary` gallops up from the completion lower
+    /// bound (Encoder::completionLowerBound, tight on Table I) to the first
+    /// SAT probe, then bisects below it.
     opt::SearchStrategy timeSearch = opt::SearchStrategy::Binary;
     /// Generation: minimize the number of virtual borders (paper's
     /// min sum border_v). When false, any feasible layout is returned.

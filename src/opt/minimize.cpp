@@ -92,9 +92,7 @@ MinimizeResult minimizeImpl(SatBackend& backend, std::span<const Literal> soft,
         }
     }
     const Totalizer totalizer(backend, totalizerInputs);
-    const int maxTotal = static_cast<int>(totalizerInputs.size());
 
-    bool lastProbeSat = false;
     bool cancelled = false;
     auto solveAtMost = [&](int k) {
         ++result.solveCalls;
@@ -102,7 +100,6 @@ MinimizeResult minimizeImpl(SatBackend& backend, std::span<const Literal> soft,
         assumptions.push_back(totalizer.atMostAssumption(static_cast<std::size_t>(k)));
         const SolveStatus status = backend.solve(assumptions);
         const bool sat = status == SolveStatus::Sat;
-        lastProbeSat = sat;
         cancelled = status == SolveStatus::Unknown;
         recordBoundProbe("opt.tighten_bound", k, sat);
         if (sat) {
@@ -160,29 +157,13 @@ MinimizeResult minimizeImpl(SatBackend& backend, std::span<const Literal> soft,
     }
     result.optimum = incumbent;
 
-    // Every strategy that ends on a SAT probe ends on a model counting the
-    // optimum (LinearDown reaching 0, LinearUp's ascent, Binary's last
-    // bisection step), so the backend is already where callers decode.
-    if (lastProbeSat) {
-        return result;
-    }
-    // After a final UNSAT probe, re-solve at the optimum so callers can
-    // decode right after return: the backend's current model may be stale
-    // (the portfolio reads the last solve's winner).
-    bool ok = false;
-    if (incumbent < maxTotal) {
-        ok = solveAtMost(incumbent);
-    } else {
-        ++result.solveCalls;
-        assumptions.resize(alwaysAssume.size());
-        const SolveStatus status = backend.solve(assumptions);
-        ok = status == SolveStatus::Sat;
-        cancelled = status == SolveStatus::Unknown;
-    }
-    if (cancelled) {
-        return MinimizeResult{.solveCalls = result.solveCalls};
-    }
-    ETCS_REQUIRE_MSG(ok, "optimal bound must be satisfiable");
+    // No re-solve: every probe after the last SAT one was UNSAT, so the
+    // backend still holds that model (SatBackend::modelValue reads the most
+    // recent satisfying model), and every strategy's last SAT model counts
+    // the optimum — LinearDown's and Binary's incumbent, LinearUp's ascent
+    // (or the first solve when the ascent reached it).
+    ETCS_REQUIRE_MSG(weightedCount(backend, soft, weights) == incumbent,
+                     "the held model must count the optimum");
     return result;
 }
 
@@ -224,8 +205,6 @@ IndexSearchResult smallestFeasibleIndex(SatBackend& backend,
     const obs::Span span("opt.index_search");
     IndexSearchResult result;
     std::vector<Literal> assumptions(alwaysAssume.begin(), alwaysAssume.end());
-    int lastProbedIndex = lo - 1;
-    bool lastProbeSat = false;
     bool cancelled = false;
     auto feasible = [&](int t) {
         ++result.solveCalls;
@@ -233,8 +212,6 @@ IndexSearchResult smallestFeasibleIndex(SatBackend& backend,
         assumptions.push_back(literalAt(t));
         const SolveStatus status = backend.solve(assumptions);
         const bool sat = status == SolveStatus::Sat;
-        lastProbedIndex = t;
-        lastProbeSat = sat;
         cancelled = status == SolveStatus::Unknown;
         recordBoundProbe("opt.probe_index", t, sat);
         return sat;
@@ -242,19 +219,31 @@ IndexSearchResult smallestFeasibleIndex(SatBackend& backend,
 
     switch (strategy) {
         case SearchStrategy::Binary: {
-            // Establish feasibility at hi first (monotone upper end).
-            if (!feasible(hi)) {
-                return result;
-            }
-            int feasibleHi = hi;
+            // Gallop up from lo — probe lo, lo+1, lo+3, lo+7, ... (capped at
+            // hi) — to the first SAT probe. Callers pass a lower bound such as
+            // Encoder::completionLowerBound, which is usually tight, so the
+            // first probes are cheap refutations or the answer itself.
             int infeasibleLo = lo - 1;
+            int t = lo;
+            for (int gap = 1; !feasible(t); gap *= 2) {
+                if (cancelled) {
+                    // As in minimizeImpl: the first cancelled probe ends
+                    // the search with no index found.
+                    return IndexSearchResult{.solveCalls = result.solveCalls};
+                }
+                if (t == hi) {
+                    return result;
+                }
+                infeasibleLo = t;
+                t = hi - t > gap ? t + gap : hi;
+            }
+            // Then bisect between the last UNSAT probe and that SAT one.
+            int feasibleHi = t;
             while (infeasibleLo + 1 < feasibleHi) {
                 const int mid = infeasibleLo + (feasibleHi - infeasibleLo) / 2;
                 if (feasible(mid)) {
                     feasibleHi = mid;
                 } else if (cancelled) {
-                    // As in minimizeImpl: the first cancelled probe ends
-                    // the search with no index found.
                     return IndexSearchResult{.solveCalls = result.solveCalls};
                 } else {
                     infeasibleLo = mid;
@@ -293,16 +282,11 @@ IndexSearchResult smallestFeasibleIndex(SatBackend& backend,
             break;
         }
     }
-    if (result.feasible && !(lastProbeSat && lastProbedIndex == result.index)) {
-        // Re-solve at the optimum so the backend's model matches it — but
-        // only when the search's final probe was not already the optimum
-        // (LinearUp always ends there; the others often do), sparing one
-        // solver call per search.
-        const bool ok = feasible(result.index);
-        if (cancelled) {
-            return IndexSearchResult{.solveCalls = result.solveCalls};
-        }
-        ETCS_REQUIRE_MSG(ok, "optimal index must remain satisfiable");
+    // No re-solve: each strategy's last SAT probe was at the returned index
+    // and every later probe was UNSAT, so the backend still holds that model.
+    if (result.feasible) {
+        ETCS_REQUIRE_MSG(backend.modelValue(literalAt(result.index)),
+                         "the held model must reach the optimal index");
     }
     return result;
 }

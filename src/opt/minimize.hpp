@@ -26,13 +26,18 @@ using cnf::SatBackend;
 enum class SearchStrategy {
     LinearDown,  ///< SAT -> tighten bound below the incumbent until UNSAT.
     LinearUp,    ///< UNSAT -> relax bound upward until SAT.
-    Binary,      ///< bisection between 0 and the incumbent.
+    Binary,      ///< minimizeTrueLiterals: bisection between 0 and the incumbent.
+                 ///< smallestFeasibleIndex: gallop up from lo (lo, lo+1, lo+3,
+                 ///< lo+7, ..., capped at hi) to the first SAT probe, then
+                 ///< bisection between the last UNSAT probe and it.
 };
 
 [[nodiscard]] std::string_view toString(SearchStrategy strategy);
 
-/// Outcome of a minimization run. When feasible, the backend's model is left
-/// at an optimal assignment (callers decode directly from the backend).
+/// Outcome of a minimization run. When feasible, the backend holds an optimal
+/// model (callers decode directly from the backend): the search's last SAT
+/// probe found it, and it is not re-solved after a final UNSAT probe, since
+/// SatBackend::modelValue reads the most recent satisfying model.
 struct MinimizeResult {
     bool feasible = false;       ///< false: hard constraints are unsatisfiable, or a
                                  ///< solve was cancelled (SolveStatus::Unknown),
@@ -72,7 +77,9 @@ struct IndexSearchResult {
 /// Find the smallest index t in [lo, hi] such that solve({literalAt(t)}) is
 /// SAT.  Requires monotonicity: if t is feasible then every t' > t is
 /// feasible (the paper's done^t literals satisfy this by construction).
-/// Leaves the backend's model at the optimal index when feasible.
+/// When feasible, the backend holds the model of the SAT probe at the
+/// returned index: every later probe was UNSAT, so it is not re-solved.
+/// `Binary` gallops up from `lo`, so a tight lower bound makes it cheap.
 /// `alwaysAssume` literals are added to every solve.
 IndexSearchResult smallestFeasibleIndex(SatBackend& backend,
                                         const std::function<Literal(int)>& literalAt, int lo,

@@ -16,16 +16,22 @@
 
 namespace etcs::sat {
 
-/// Offset of a clause inside the ClauseArena.
+/// Offset of a clause's header word inside the ClauseArena.
 using ClauseRef = std::uint32_t;
 inline constexpr ClauseRef kInvalidClause = 0xFFFFFFFFu;
 
+/// The top bit of a ClauseRef, which the arena never hands out: Solver's
+/// watchers use it to tag binary clauses.
+inline constexpr ClauseRef kBinaryClauseTag = 0x80000000u;
+
 /// A non-owning view of a clause stored in a ClauseArena.
 ///
-/// Layout in the arena:
-///   word 0: (size << 1) | learnt
-///   word 1: activity as float bits (learnt clauses only)
-///   word 2...: literal codes
+/// Layout in the arena, around the header word a ClauseRef addresses:
+///   word -1: activity as float bits (learnt clauses only)
+///   word 0:  (size << 1) | learnt
+///   word 1...: literal codes
+/// Literals sit at a fixed offset from the header, so reading one does not
+/// depend on whether the clause is learnt.
 class Clause {
 public:
     Clause(std::uint32_t* base) noexcept : base_(base) {}
@@ -34,22 +40,17 @@ public:
     [[nodiscard]] bool learnt() const noexcept { return (base_[0] & 1) != 0; }
 
     [[nodiscard]] Literal operator[](std::uint32_t i) const noexcept {
-        return Literal::fromCode(static_cast<std::int32_t>(lits()[i]));
+        return Literal::fromCode(static_cast<std::int32_t>(base_[1 + i]));
     }
     void setLiteral(std::uint32_t i, Literal l) noexcept {
-        lits()[i] = static_cast<std::uint32_t>(l.code());
+        base_[1 + i] = static_cast<std::uint32_t>(l.code());
     }
 
-    /// Drop the literal at position i by swapping in the last literal.
-    void removeLiteral(std::uint32_t i) noexcept {
-        lits()[i] = lits()[size() - 1];
-        base_[0] -= 2;  // size -= 1, learnt flag preserved
-    }
-
+    /// Learnt clauses only.
     [[nodiscard]] float activity() const noexcept {
-        return std::bit_cast<float>(base_[1]);
+        return std::bit_cast<float>(base_[-1]);
     }
-    void setActivity(float a) noexcept { base_[1] = std::bit_cast<std::uint32_t>(a); }
+    void setActivity(float a) noexcept { base_[-1] = std::bit_cast<std::uint32_t>(a); }
 
     /// Words needed to store a clause of `size` literals.
     [[nodiscard]] static std::uint32_t words(std::uint32_t size, bool learnt) noexcept {
@@ -57,26 +58,27 @@ public:
     }
 
 private:
-    [[nodiscard]] std::uint32_t* lits() const noexcept { return base_ + 1 + (learnt() ? 1 : 0); }
-
     std::uint32_t* base_;
 };
 
 /// Bump allocator for clauses with mark-and-copy garbage collection support.
 class ClauseArena {
 public:
-    /// Allocate a clause; returns its reference.
+    /// Allocate a clause; returns its reference. Learnt clauses start with
+    /// activity 0.
     ClauseRef allocate(std::span<const Literal> lits, bool learnt) {
         ETCS_REQUIRE(lits.size() >= 2);
         const auto need = Clause::words(static_cast<std::uint32_t>(lits.size()), learnt);
-        const ClauseRef ref = static_cast<ClauseRef>(storage_.size());
-        storage_.resize(storage_.size() + need);
-        std::uint32_t* base = storage_.data() + ref;
-        base[0] = (static_cast<std::uint32_t>(lits.size()) << 1) | (learnt ? 1u : 0u);
-        std::uint32_t* out = base + 1;
+        ETCS_REQUIRE_MSG(storage_.size() + need <= kBinaryClauseTag,
+                         "clause arena would reach the binary-clause tag bit");
+        const std::size_t at = storage_.size();
+        storage_.resize(at + need);
         if (learnt) {
-            *out++ = std::bit_cast<std::uint32_t>(0.0f);
+            storage_[at] = std::bit_cast<std::uint32_t>(0.0f);
         }
+        const ClauseRef ref = static_cast<ClauseRef>(at + (learnt ? 1 : 0));
+        std::uint32_t* out = storage_.data() + ref;
+        *out++ = (static_cast<std::uint32_t>(lits.size()) << 1) | (learnt ? 1u : 0u);
         for (Literal l : lits) {
             *out++ = static_cast<std::uint32_t>(l.code());
         }

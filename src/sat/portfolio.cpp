@@ -353,6 +353,9 @@ void PortfolioSolver::finishSolve(std::span<const Literal> assumptions,
                                   SolveStatus status) {
     ++stats_.solves;
     stats_.lastWinner = winner_;
+    if (status == SolveStatus::Sat) {
+        modelWorker_ = winner_;
+    }
     aggregateStats();
     // Snapshot the winner's failed-assumption core: the worker's solver
     // overwrites its core on the next solve, but consumers (unsat-core
@@ -421,13 +424,13 @@ SolveStatus PortfolioSolver::solve(std::span<const Literal> assumptions) {
 }
 
 Value PortfolioSolver::modelValue(Var v) const {
-    ETCS_REQUIRE_MSG(winner_ >= 0, "no portfolio verdict available");
-    return workers_[static_cast<std::size_t>(winner_)]->solver.modelValue(v);
+    ETCS_REQUIRE_MSG(modelWorker_ >= 0, "no portfolio model available");
+    return workers_[static_cast<std::size_t>(modelWorker_)]->solver.modelValue(v);
 }
 
 Value PortfolioSolver::modelValue(Literal l) const {
-    ETCS_REQUIRE_MSG(winner_ >= 0, "no portfolio verdict available");
-    return workers_[static_cast<std::size_t>(winner_)]->solver.modelValue(l);
+    ETCS_REQUIRE_MSG(modelWorker_ >= 0, "no portfolio model available");
+    return workers_[static_cast<std::size_t>(modelWorker_)]->solver.modelValue(l);
 }
 
 const std::vector<Literal>& PortfolioSolver::conflictCore() const { return lastCore_; }

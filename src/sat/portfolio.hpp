@@ -7,8 +7,9 @@
 /// the other workers' bounded inboxes and imported at restart boundaries;
 /// the first worker to reach a verdict cancels the rest through the
 /// cooperative progress hook. Incremental solving under assumptions works
-/// exactly as on a single Solver: every worker replays the assumptions, and
-/// the winner's model / failed-assumption core is exposed.
+/// exactly as on a single Solver: every worker replays the assumptions, the
+/// winner's failed-assumption core is exposed, and so is the model of the
+/// latest Sat solve's winner.
 ///
 /// Two execution modes (see docs/PARALLEL.md):
 ///  * racing (default)  — workers run freely; clause exchange and the winner
@@ -128,7 +129,9 @@ public:
     }
     SolveStatus solve() { return solve(std::span<const Literal>{}); }
 
-    /// Model of the winning worker after a Sat verdict.
+    /// Value in the most recent satisfying model: that of the worker that
+    /// won the latest Sat solve. Later Unsat or Unknown solves leave it in
+    /// place, as on a single Solver (no worker stores a model in them).
     [[nodiscard]] Value modelValue(Var v) const;
     [[nodiscard]] Value modelValue(Literal l) const;
 
@@ -184,6 +187,7 @@ private:
     bool diversified_ = false;       ///< workers diversified on first solve
     int winner_ = -1;
     SolveStatus winnerStatus_ = SolveStatus::Unknown;
+    int modelWorker_ = -1;           ///< winner of the latest Sat solve
     ProofWriter* externalProof_ = nullptr;
     bool proofReplayed_ = false;
     std::vector<Literal> lastCore_;  ///< winner's failed-assumption core snapshot

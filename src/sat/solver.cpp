@@ -108,13 +108,14 @@ void Solver::VarOrderHeap::percolateDown(int pos) {
 // -------------------------------------------------------------- solver ----
 
 Var Solver::addVariable() {
-    const Var v = static_cast<Var>(assigns_.size());
-    assigns_.push_back(Value::Undef);
+    const Var v = numVariables();
+    values_.push_back(Value::Undef);  // positive literal
+    values_.push_back(Value::Undef);  // negative literal
     level_.push_back(0);
     reason_.push_back(kInvalidClause);
     activity_.push_back(0.0);
     polarity_.push_back(options_.defaultPolarity ? 1 : 0);
-    seen_.push_back(0);
+    seen_.push_back(kSeenNone);
     watches_.emplace_back();  // positive literal
     watches_.emplace_back();  // negative literal
     order_.insert(v);
@@ -172,8 +173,9 @@ bool Solver::addClause(std::span<const Literal> literals) {
 
 void Solver::attachClause(ClauseRef ref) {
     const Clause c = arena_.view(ref);
-    watches_[(~c[0]).code()].push_back(Watcher{ref, c[1]});
-    watches_[(~c[1]).code()].push_back(Watcher{ref, c[0]});
+    const ClauseRef tagged = c.size() == 2 ? ref | kBinaryClauseTag : ref;
+    watches_[(~c[0]).code()].push_back(Watcher{tagged, c[1]});
+    watches_[(~c[1]).code()].push_back(Watcher{tagged, c[0]});
 }
 
 void Solver::detachClause(ClauseRef ref) {
@@ -181,7 +183,7 @@ void Solver::detachClause(ClauseRef ref) {
     for (Literal w : {~c[0], ~c[1]}) {
         auto& list = watches_[w.code()];
         for (std::size_t i = 0; i < list.size(); ++i) {
-            if (list[i].clause == ref) {
+            if (list[i].clause() == ref) {
                 list[i] = list.back();
                 list.pop_back();
                 break;
@@ -191,6 +193,8 @@ void Solver::detachClause(ClauseRef ref) {
 }
 
 bool Solver::locked(ClauseRef ref) const {
+    // Long clauses only: a binary reason may hold its implied literal at
+    // either position (see firstAntecedent).
     const Clause c = arena_.view(ref);
     const Literal first = c[0];
     return value(first) == Value::True && reason_[first.var()] == ref &&
@@ -198,7 +202,8 @@ bool Solver::locked(ClauseRef ref) const {
 }
 
 void Solver::uncheckedEnqueue(Literal p, ClauseRef from) {
-    assigns_[p.var()] = fromBool(!p.sign());
+    values_[static_cast<std::size_t>(p.code())] = Value::True;
+    values_[static_cast<std::size_t>((~p).code())] = Value::False;
     level_[p.var()] = decisionLevel();
     reason_[p.var()] = from;
     trail_.push_back(p);
@@ -208,6 +213,7 @@ ClauseRef Solver::propagate() {
     ClauseRef conflict = kInvalidClause;
     while (propagationHead_ < static_cast<int>(trail_.size())) {
         const Literal p = trail_[propagationHead_++];
+        const Literal notP = ~p;
         ++stats_.propagations;
         auto& ws = watches_[p.code()];
         std::size_t keep = 0;
@@ -215,20 +221,36 @@ ClauseRef Solver::propagate() {
         const std::size_t n = ws.size();
         for (; i < n; ++i) {
             const Watcher w = ws[i];
-            if (value(w.blocker) == Value::True) {
+            const Value blockerValue = value(w.blocker);
+            if (blockerValue == Value::True) {
                 ws[keep++] = w;
                 continue;
             }
-            Clause c = arena_.view(w.clause);
+            if (w.binary()) {
+                // The blocker is the other literal: no arena access needed.
+                ws[keep++] = w;
+                if (blockerValue == Value::False) {
+                    // Store the order (blocker, ~p) that a long clause's
+                    // conflict leaves, which conflict analysis walks.
+                    conflict = w.clause();
+                    Clause c = arena_.view(conflict);
+                    c.setLiteral(0, w.blocker);
+                    c.setLiteral(1, notP);
+                    break;
+                }
+                uncheckedEnqueue(w.blocker, w.clause());
+                continue;
+            }
+            const ClauseRef ref = w.clause();
+            Clause c = arena_.view(ref);
             // Ensure the falsified literal ~p sits at position 1.
-            const Literal notP = ~p;
             if (c[0] == notP) {
                 c.setLiteral(0, c[1]);
                 c.setLiteral(1, notP);
             }
             const Literal first = c[0];
             if (first != w.blocker && value(first) == Value::True) {
-                ws[keep++] = Watcher{w.clause, first};
+                ws[keep++] = Watcher{ref, first};
                 continue;
             }
             // Look for a replacement watch.
@@ -238,7 +260,7 @@ ClauseRef Solver::propagate() {
                 if (value(c[k]) != Value::False) {
                     c.setLiteral(1, c[k]);
                     c.setLiteral(k, notP);
-                    watches_[(~c[1]).code()].push_back(Watcher{w.clause, first});
+                    watches_[(~c[1]).code()].push_back(Watcher{ref, first});
                     foundWatch = true;
                     break;
                 }
@@ -247,22 +269,21 @@ ClauseRef Solver::propagate() {
                 continue;
             }
             // Clause is unit or conflicting.
-            ws[keep++] = Watcher{w.clause, first};
+            ws[keep++] = Watcher{ref, first};
             if (value(first) == Value::False) {
-                conflict = w.clause;
-                propagationHead_ = static_cast<int>(trail_.size());
-                // Copy the remaining watchers back.
-                for (std::size_t r = i + 1; r < n; ++r) {
-                    ws[keep++] = ws[r];
-                }
+                conflict = ref;
                 break;
             }
-            uncheckedEnqueue(first, w.clause);
+            uncheckedEnqueue(first, ref);
+        }
+        if (conflict != kInvalidClause) {
+            // Copy the remaining watchers back and stop propagating.
+            for (std::size_t r = i + 1; r < n; ++r) {
+                ws[keep++] = ws[r];
+            }
+            propagationHead_ = static_cast<int>(trail_.size());
         }
         ws.resize(keep);
-        if (conflict != kInvalidClause) {
-            break;
-        }
     }
     return conflict;
 }
@@ -273,7 +294,8 @@ void Solver::cancelUntil(int level) {
     }
     for (int i = static_cast<int>(trail_.size()) - 1; i >= trailLim_[level]; --i) {
         const Var v = trail_[i].var();
-        assigns_[v] = Value::Undef;
+        values_[static_cast<std::size_t>(trail_[i].code())] = Value::Undef;
+        values_[static_cast<std::size_t>((~trail_[i]).code())] = Value::Undef;
         reason_[v] = kInvalidClause;
         if (options_.phaseSaving) {
             polarity_[v] = trail_[i].sign() ? 1 : 0;
@@ -340,13 +362,19 @@ void Solver::analyze(ClauseRef conflict, std::vector<Literal>& outLearnt,
         if (c.learnt()) {
             bumpClause(c);
         }
-        const std::uint32_t start = (p == kUndefLiteral) ? 0 : 1;
-        for (std::uint32_t j = start; j < c.size(); ++j) {
+        // The conflict contributes every literal, a reason all but p.
+        std::uint32_t j = 0;
+        std::uint32_t end = c.size();
+        if (p != kUndefLiteral) {
+            j = firstAntecedent(c, p.var());
+            end = j + c.size() - 1;
+        }
+        for (; j < end; ++j) {
             const Literal q = c[j];
             const Var v = q.var();
-            if (seen_[v] == 0 && level_[v] > 0) {
+            if (seen_[v] == kSeenNone && level_[v] > 0) {
                 bumpVariable(v);
-                seen_[v] = 1;
+                seen_[v] = kSeenSource;
                 if (level_[v] >= decisionLevel()) {
                     ++counter;
                 } else {
@@ -355,11 +383,11 @@ void Solver::analyze(ClauseRef conflict, std::vector<Literal>& outLearnt,
             }
         }
         // Select the next literal on the current level to resolve on.
-        while (seen_[trail_[index--].var()] == 0) {
+        while (seen_[trail_[index--].var()] == kSeenNone) {
         }
         p = trail_[index + 1];
         reasonRef = reason_[p.var()];
-        seen_[p.var()] = 0;
+        seen_[p.var()] = kSeenNone;
         --counter;
     } while (counter > 0);
     outLearnt[0] = ~p;
@@ -402,43 +430,68 @@ void Solver::analyze(ClauseRef conflict, std::vector<Literal>& outLearnt,
 
     for (Literal l : analyzeToClear_) {
         if (l.valid()) {
-            seen_[l.var()] = 0;
+            seen_[l.var()] = kSeenNone;
         }
     }
     stats_.learnedLiterals += outLearnt.size();
 }
 
 bool Solver::literalRedundant(Literal p, std::uint32_t abstractLevels) {
+    // Depth-first walk back from p through reason clauses. A literal is
+    // removable once all its antecedents are kept literals, level-0 facts or
+    // removable; it fails when one antecedent is a decision, lies on a level
+    // the learnt clause does not touch, or failed before. Both verdicts stay
+    // in seen_ until analyze() clears them: a failed literal's path to the
+    // culprit consists of literals that can never turn removable, so it
+    // keeps failing, and the kept literals equal those of walking every
+    // subgraph afresh.
     analyzeStack_.clear();
-    analyzeStack_.push_back(p);
-    const std::size_t clearTop = analyzeToClear_.size();
-    while (!analyzeStack_.empty()) {
-        const Literal q = analyzeStack_.back();
-        analyzeStack_.pop_back();
-        const ClauseRef reasonRef = reason_[q.var()];
-        // Redundancy candidates always have a reason clause.
-        const Clause c = arena_.view(reasonRef);
-        for (std::uint32_t j = 1; j < c.size(); ++j) {
+    Clause c = arena_.view(reason_[p.var()]);
+    std::uint32_t j = firstAntecedent(c, p.var());
+    std::uint32_t end = j + c.size() - 1;
+    while (true) {
+        if (j < end) {
             const Literal r = c[j];
             const Var v = r.var();
-            if (seen_[v] != 0 || level_[v] == 0) {
+            const SeenMark mark = seen_[v];
+            if (level_[v] == 0 || mark == kSeenSource || mark == kSeenRemovable) {
+                ++j;
                 continue;
             }
-            if (reason_[v] == kInvalidClause || (abstractLevel(v) & abstractLevels) == 0) {
-                // Reached a decision or a level outside the learnt clause:
-                // p is not redundant. Undo the marks made in this walk.
-                for (std::size_t k = clearTop; k < analyzeToClear_.size(); ++k) {
-                    seen_[analyzeToClear_[k].var()] = 0;
+            if (mark == kSeenFailed || reason_[v] == kInvalidClause ||
+                (abstractLevel(v) & abstractLevels) == 0) {
+                // p and every literal suspended on the stack reach r.
+                analyzeStack_.push_back(RedundancyFrame{j, p});
+                for (const RedundancyFrame& frame : analyzeStack_) {
+                    if (seen_[frame.literal.var()] == kSeenNone) {
+                        seen_[frame.literal.var()] = kSeenFailed;
+                        analyzeToClear_.push_back(frame.literal);
+                    }
                 }
-                analyzeToClear_.resize(clearTop);
                 return false;
             }
-            seen_[v] = 1;
-            analyzeStack_.push_back(r);
-            analyzeToClear_.push_back(r);
+            analyzeStack_.push_back(RedundancyFrame{j + 1, p});
+            p = r;
+            c = arena_.view(reason_[v]);
+            j = firstAntecedent(c, v);
+            end = j + c.size() - 1;
+            continue;
         }
+        // Every antecedent of p is implied by the learnt clause.
+        if (seen_[p.var()] == kSeenNone) {
+            seen_[p.var()] = kSeenRemovable;
+            analyzeToClear_.push_back(p);
+        }
+        if (analyzeStack_.empty()) {
+            return true;
+        }
+        const RedundancyFrame frame = analyzeStack_.back();
+        analyzeStack_.pop_back();
+        p = frame.literal;
+        c = arena_.view(reason_[p.var()]);
+        j = frame.position;
+        end = firstAntecedent(c, p.var()) + c.size() - 1;
     }
-    return true;
 }
 
 void Solver::analyzeFinal(Literal failedAssumption) {
@@ -448,10 +501,10 @@ void Solver::analyzeFinal(Literal failedAssumption) {
         return;
     }
     const Var failedVar = failedAssumption.var();
-    seen_[failedVar] = 1;
+    seen_[failedVar] = kSeenSource;
     for (int i = static_cast<int>(trail_.size()) - 1; i >= trailLim_[0]; --i) {
         const Var v = trail_[i].var();
-        if (seen_[v] == 0) {
+        if (seen_[v] == kSeenNone) {
             continue;
         }
         if (reason_[v] == kInvalidClause) {
@@ -461,15 +514,16 @@ void Solver::analyzeFinal(Literal failedAssumption) {
             conflictCore_.push_back(trail_[i]);
         } else {
             const Clause c = arena_.view(reason_[v]);
-            for (std::uint32_t j = 1; j < c.size(); ++j) {
+            const std::uint32_t first = firstAntecedent(c, v);
+            for (std::uint32_t j = first; j < first + c.size() - 1; ++j) {
                 if (level_[c[j].var()] > 0) {
-                    seen_[c[j].var()] = 1;
+                    seen_[c[j].var()] = kSeenSource;
                 }
             }
         }
-        seen_[v] = 0;
+        seen_[v] = kSeenNone;
     }
-    seen_[failedVar] = 0;
+    seen_[failedVar] = kSeenNone;
 }
 
 void Solver::reduceLearnedDb() {
@@ -549,14 +603,16 @@ void Solver::compactClauseDatabase() {
     // Watch lists only reference attached (live) clauses.
     for (auto& watchers : watches_) {
         for (Watcher& w : watchers) {
-            move(w.clause);
+            ClauseRef ref = w.clause();
+            move(ref);
+            w.taggedRef = ref | (w.taggedRef & kBinaryClauseTag);
         }
     }
     // Reasons of assignments above level 0 are locked (live). Root-level
     // implications never have their reasons inspected again, so drop them
     // rather than keeping possibly-freed clauses alive.
     for (Var v = 0; v < numVariables(); ++v) {
-        if (assigns_[v] == Value::Undef || reason_[v] == kInvalidClause) {
+        if (value(v) == Value::Undef || reason_[v] == kInvalidClause) {
             continue;
         }
         if (level_[v] == 0) {
@@ -579,7 +635,7 @@ void Solver::diversify(std::uint64_t seed, bool randomizePhases) {
         return z ^ (z >> 31);
     };
     std::vector<Var> vars;
-    vars.reserve(assigns_.size());
+    vars.reserve(static_cast<std::size_t>(numVariables()));
     for (Var v = 0; v < numVariables(); ++v) {
         // Activities stay far below the bump increment, so the noise only
         // breaks ties until real conflicts take over.
@@ -828,10 +884,11 @@ SolveStatus Solver::solve(std::span<const Literal> assumptions) {
 }
 
 void Solver::storeModel() {
-    model_.resize(assigns_.size());
-    for (std::size_t v = 0; v < assigns_.size(); ++v) {
+    model_.resize(static_cast<std::size_t>(numVariables()));
+    for (Var v = 0; v < numVariables(); ++v) {
         // Unassigned variables (none reachable from any clause) default to false.
-        model_[v] = assigns_[v] == Value::Undef ? Value::False : assigns_[v];
+        const Value assigned = value(v);
+        model_[static_cast<std::size_t>(v)] = assigned == Value::Undef ? Value::False : assigned;
     }
 }
 

@@ -1,11 +1,13 @@
 /// \file solver.hpp
 /// A conflict-driven clause-learning (CDCL) SAT solver.
 ///
-/// Feature set: two-watched-literal propagation with blockers, first-UIP
-/// conflict analysis with deep clause minimization, EVSIDS variable
-/// activities, phase saving, Luby restarts, activity-based learned-clause
-/// database reduction, and incremental solving under assumptions with
-/// failed-assumption core extraction.
+/// Feature set: two-watched-literal propagation with blockers, where a
+/// binary clause implies or conflicts from its tagged watcher alone; a
+/// literal-indexed value table; first-UIP conflict analysis with deep clause
+/// minimization that keeps its redundancy verdicts for the whole analysis;
+/// EVSIDS variable activities, phase saving, Luby restarts, activity-based
+/// learned-clause database reduction, and incremental solving under
+/// assumptions with failed-assumption core extraction.
 ///
 /// Usage:
 ///   Solver s;
@@ -43,7 +45,7 @@ public:
     /// Create a fresh variable and return it.
     Var addVariable();
 
-    [[nodiscard]] int numVariables() const noexcept { return static_cast<int>(assigns_.size()); }
+    [[nodiscard]] int numVariables() const noexcept { return static_cast<int>(level_.size()); }
     [[nodiscard]] std::size_t numClauses() const noexcept { return clauses_.size(); }
     [[nodiscard]] std::size_t numLearnedClauses() const noexcept { return learnts_.size(); }
 
@@ -106,9 +108,30 @@ public:
     }
 
 private:
+    /// An entry of the watch list of a literal p, for a clause watching ~p.
     struct Watcher {
-        ClauseRef clause = kInvalidClause;
+        /// The clause's ClauseRef, with kBinaryClauseTag set when the clause
+        /// has two literals.
+        ClauseRef taggedRef = kInvalidClause;
+        /// A literal of the clause other than ~p; a true blocker lets
+        /// propagation skip the clause. A binary clause's blocker is always
+        /// its other literal.
         Literal blocker;
+
+        [[nodiscard]] ClauseRef clause() const noexcept { return taggedRef & ~kBinaryClauseTag; }
+        [[nodiscard]] bool binary() const noexcept { return (taggedRef & kBinaryClauseTag) != 0; }
+    };
+
+    /// seen_ marks. Conflict analysis marks kSeenSource on the literals it
+    /// resolves and keeps; literalRedundant caches its verdicts on other
+    /// literals for the rest of that analysis.
+    enum SeenMark : std::uint8_t { kSeenNone, kSeenSource, kSeenRemovable, kSeenFailed };
+
+    /// A suspended literal of literalRedundant's depth-first walk: the
+    /// position in its reason clause to resume at.
+    struct RedundancyFrame {
+        std::uint32_t position;
+        Literal literal;
     };
 
     /// Indexed max-heap over variable activities (the VSIDS order).
@@ -144,10 +167,18 @@ private:
         std::vector<int> index_;
     };
 
-    [[nodiscard]] Value value(Var v) const noexcept { return assigns_[v]; }
+    [[nodiscard]] Value value(Var v) const noexcept {
+        return values_[static_cast<std::size_t>(Literal::positive(v).code())];
+    }
     [[nodiscard]] Value value(Literal l) const noexcept {
-        const Value v = assigns_[l.var()];
-        return l.sign() ? negate(v) : v;
+        return values_[static_cast<std::size_t>(l.code())];
+    }
+    /// First position of the antecedents in the reason clause `c` of `v`;
+    /// they fill the c.size() - 1 positions from there. Propagation keeps a
+    /// long reason's implied literal at position 0 but never writes a binary
+    /// clause, which may hold it at either position.
+    [[nodiscard]] static std::uint32_t firstAntecedent(Clause c, Var v) noexcept {
+        return c[0].var() == v ? 1 : 0;
     }
     [[nodiscard]] int decisionLevel() const noexcept { return static_cast<int>(trailLim_.size()); }
 
@@ -187,7 +218,7 @@ private:
     std::vector<ClauseRef> learnts_;  ///< learned clauses
 
     std::vector<std::vector<Watcher>> watches_;  ///< indexed by literal code
-    std::vector<Value> assigns_;
+    std::vector<Value> values_;                  ///< indexed by literal code
     std::vector<int> level_;
     std::vector<ClauseRef> reason_;
     std::vector<Literal> trail_;
@@ -204,8 +235,8 @@ private:
     std::vector<Literal> conflictCore_;
     std::vector<std::vector<Literal>> importBuffer_;  ///< scratch for onImport polls
 
-    std::vector<char> seen_;
-    std::vector<Literal> analyzeStack_;
+    std::vector<SeenMark> seen_;  ///< per variable
+    std::vector<RedundancyFrame> analyzeStack_;
     std::vector<Literal> analyzeToClear_;
 
     std::vector<Value> model_;

@@ -2,7 +2,9 @@
 // garbage collection, and the automatic trigger must reclaim arena space.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <random>
+#include <vector>
 
 #include "sat/solver.hpp"
 
@@ -60,6 +62,64 @@ TEST(GarbageCollection, ManualCompactionPreservesResults) {
         }
         EXPECT_EQ(compacted.solve(), reference.solve()) << "round " << round;
     }
+}
+
+/// Binary clauses are watched through tagged ClauseRefs, which compaction
+/// must relocate like any other. Mixed 2/3-SAT with a tiny learnt-database
+/// floor gives input binaries, learnt binaries and reductions; since
+/// compaction changes no search decision, verdicts, models and counters
+/// must equal the uncompacted reference's.
+TEST(GarbageCollection, ManualCompactionPreservesBinaryClauses) {
+    std::mt19937 rng(11);
+    const int numVars = 80;
+    std::uniform_int_distribution<int> varDist(0, numVars - 1);
+    std::bernoulli_distribution signDist(0.5);
+    int satProbes = 0;
+    int unsatProbes = 0;
+    std::uint64_t removed = 0;
+    for (int round = 0; round < 10; ++round) {
+        Solver compacted;
+        Solver reference;
+        for (Solver* solver : {&compacted, &reference}) {
+            solver->options().learntSizeFloor = 8;
+            solver->options().learntSizeFactor = 0.01;
+            for (int v = 0; v < numVars; ++v) {
+                solver->addVariable();
+            }
+        }
+        for (int c = 0; c < 280; ++c) {
+            std::vector<Literal> clause;
+            for (int k = 0; k < (c % 12 == 0 ? 2 : 3); ++k) {
+                clause.push_back(Literal(varDist(rng), signDist(rng)));
+            }
+            compacted.addClause(clause);
+            reference.addClause(clause);
+        }
+        for (int probe = 0; probe < 6; ++probe) {
+            const std::vector<Literal> assumptions{Literal(varDist(rng), signDist(rng)),
+                                                   Literal(varDist(rng), signDist(rng))};
+            const auto a = compacted.solve(assumptions);
+            const auto b = reference.solve(assumptions);
+            ASSERT_EQ(a, b) << "round " << round << " probe " << probe;
+            if (a == SolveStatus::Sat) {
+                ++satProbes;
+                for (Var v = 0; v < numVars; ++v) {
+                    EXPECT_EQ(compacted.modelValue(v), reference.modelValue(v))
+                        << "round " << round << " probe " << probe << " variable " << v;
+                }
+            } else {
+                ++unsatProbes;
+            }
+            compacted.compactClauseDatabase();
+        }
+        EXPECT_EQ(compacted.solve(), reference.solve()) << "round " << round;
+        EXPECT_EQ(compacted.stats().conflicts, reference.stats().conflicts);
+        EXPECT_EQ(compacted.stats().propagations, reference.stats().propagations);
+        removed += reference.stats().removedClauses;
+    }
+    EXPECT_GT(satProbes, 0);
+    EXPECT_GT(unsatProbes, 0);
+    EXPECT_GT(removed, 0U);
 }
 
 TEST(GarbageCollection, CompactionReclaimsWastedWords) {

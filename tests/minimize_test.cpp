@@ -3,14 +3,17 @@
 // return.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <random>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "cnf/backend.hpp"
 #include "opt/minimize.hpp"
 #include "support/cancelling_backend.hpp"
+#include "support/forwarding_backend.hpp"
 #include "util/error.hpp"
 
 namespace etcs::opt {
@@ -25,6 +28,34 @@ std::vector<Literal> makeInputs(SatBackend& backend, int n) {
     }
     return inputs;
 }
+
+/// A monotone chain y_0 -> y_1 -> ... -> y_{n-1} over the backend's first n
+/// variables, so y_t is variable t; literal(t) is satisfiable iff
+/// t >= firstFeasible (never when firstFeasible >= n).
+std::vector<Literal> makeChain(SatBackend& backend, int n, int firstFeasible) {
+    std::vector<Literal> y = makeInputs(backend, n);
+    for (int t = 0; t + 1 < n; ++t) {
+        backend.addClause({~y[t], y[t + 1]});
+    }
+    if (firstFeasible > 0) {
+        backend.addClause({~y[std::min(firstFeasible, n) - 1]});
+    }
+    return y;
+}
+
+/// Records, for each solve, the variable of its last assumption — the index
+/// smallestFeasibleIndex probes on a chain from makeChain.
+class ProbeRecordingBackend final : public test::ForwardingBackend {
+public:
+    using test::ForwardingBackend::solve;
+
+    SolveStatus solve(std::span<const Literal> assumptions) override {
+        probes.push_back(assumptions.empty() ? -1 : assumptions.back().var());
+        return test::ForwardingBackend::solve(assumptions);
+    }
+
+    std::vector<int> probes;
+};
 
 class StrategyTest : public ::testing::TestWithParam<SearchStrategy> {};
 
@@ -56,7 +87,7 @@ TEST_P(StrategyTest, CoveringConstraintForcesMinimum) {
 }
 
 /// A cancelled probe refutes nothing: wherever the search is cancelled, it
-/// stops there and reports no optimum instead of throwing on a re-solve.
+/// stops there and reports no optimum.
 TEST_P(StrategyTest, CancelledProbeEndsTheSearch) {
     const auto run = [&](std::uint64_t cancelFrom) {
         std::uint64_t solves = 0;
@@ -169,14 +200,8 @@ INSTANTIATE_TEST_SUITE_P(AllStrategies, StrategyTest,
 class IndexSearchTest : public ::testing::TestWithParam<SearchStrategy> {};
 
 TEST_P(IndexSearchTest, FindsSmallestFeasibleIndex) {
-    // literal(t) is satisfiable iff t >= 5: chain y_t -> y_{t+1} with y_4
-    // forced false and y_5 free models a monotone family.
     const auto backend = cnf::makeInternalBackend();
-    std::vector<Literal> y = makeInputs(*backend, 10);
-    for (int t = 0; t + 1 < 10; ++t) {
-        backend->addClause({~y[t], y[t + 1]});  // monotone
-    }
-    backend->addClause({~y[4]});  // t <= 4 infeasible
+    const auto y = makeChain(*backend, 10, 5);
     const auto result = smallestFeasibleIndex(
         *backend, [&](int t) { return y[t]; }, 0, 9, GetParam());
     ASSERT_TRUE(result.feasible);
@@ -190,11 +215,7 @@ TEST_P(IndexSearchTest, CancelledProbeEndsTheSearch) {
     const auto run = [&](std::uint64_t cancelFrom) {
         std::uint64_t solves = 0;
         test::CancellingBackend backend(cancelFrom, solves);
-        std::vector<Literal> y = makeInputs(backend, 10);
-        for (int t = 0; t + 1 < 10; ++t) {
-            backend.addClause({~y[t], y[t + 1]});
-        }
-        backend.addClause({~y[4]});
+        const auto y = makeChain(backend, 10, 5);
         const auto result = smallestFeasibleIndex(
             backend, [&](int t) { return y[t]; }, 0, 9, GetParam());
         EXPECT_EQ(result.solveCalls, solves);
@@ -231,6 +252,53 @@ TEST_P(IndexSearchTest, WholeRangeFeasibleReturnsLowerBound) {
     EXPECT_EQ(result.index, 1);
 }
 
+/// The probes each strategy makes on a 0..9 chain whose first feasible
+/// index is `firstFeasible` (10: none). `Binary` gallops up from the lower
+/// bound, so a tight bound costs it one or two calls.
+std::vector<int> probesOnChain(SearchStrategy strategy, int firstFeasible) {
+    ProbeRecordingBackend backend;
+    const auto y = makeChain(backend, 10, firstFeasible);
+    const auto result =
+        smallestFeasibleIndex(backend, [&](int t) { return y[t]; }, 0, 9, strategy);
+    EXPECT_EQ(result.feasible, firstFeasible <= 9);
+    if (result.feasible) {
+        EXPECT_EQ(result.index, firstFeasible);
+        EXPECT_TRUE(backend.modelValue(y[firstFeasible]));
+    }
+    EXPECT_EQ(result.solveCalls, backend.probes.size());
+    return backend.probes;
+}
+
+std::vector<int> descending(int from, int to) {
+    std::vector<int> out;
+    for (int t = from; t >= to; --t) {
+        out.push_back(t);
+    }
+    return out;
+}
+
+TEST_P(IndexSearchTest, FeasibleLowerBoundIsOneProbeUnlessLinearDown) {
+    const std::vector<int> expected =
+        GetParam() == SearchStrategy::LinearDown ? descending(9, 0) : std::vector<int>{0};
+    EXPECT_EQ(probesOnChain(GetParam(), 0), expected);
+}
+
+TEST_P(IndexSearchTest, OptimumJustAboveTheLowerBound) {
+    const std::vector<int> expected =
+        GetParam() == SearchStrategy::LinearDown ? descending(9, 0) : std::vector<int>{0, 1};
+    EXPECT_EQ(probesOnChain(GetParam(), 1), expected);
+}
+
+TEST_P(IndexSearchTest, InfeasibleRangeProbes) {
+    std::vector<int> expected;
+    switch (GetParam()) {
+        case SearchStrategy::Binary: expected = {0, 1, 3, 7, 9}; break;
+        case SearchStrategy::LinearUp: expected = {0, 1, 2, 3, 4, 5, 6, 7, 8, 9}; break;
+        case SearchStrategy::LinearDown: expected = {9}; break;
+    }
+    EXPECT_EQ(probesOnChain(GetParam(), 10), expected);
+}
+
 INSTANTIATE_TEST_SUITE_P(AllStrategies, IndexSearchTest,
                          ::testing::Values(SearchStrategy::LinearDown,
                                            SearchStrategy::LinearUp, SearchStrategy::Binary),
@@ -244,25 +312,14 @@ INSTANTIATE_TEST_SUITE_P(AllStrategies, IndexSearchTest,
                              return name;
                          });
 
-/// Regression: smallestFeasibleIndex must not burn a trailing re-solve when
-/// the search's final probe already was the (satisfiable) optimum — while
-/// still re-solving when the last probe was elsewhere, so the backend's
-/// model always matches the returned index.
+/// Regression: smallestFeasibleIndex never re-solves at the optimum. The
+/// backend holds the model of the last SAT probe, which was at the returned
+/// index, whether or not UNSAT probes followed it.
 TEST(Minimize, SkipsRedundantTrailingResolve) {
-    const auto makeChain = [](cnf::SatBackend& backend) {
-        std::vector<Literal> y = makeInputs(backend, 10);
-        for (int t = 0; t + 1 < 10; ++t) {
-            backend.addClause({~y[t], y[t + 1]});  // monotone
-        }
-        backend.addClause({~y[4]});  // t <= 4 infeasible
-        return y;
-    };
-
     {
-        // LinearUp probes 0..5 and ends SAT at the optimum: 6 calls, no
-        // trailing re-solve (was 7).
+        // LinearUp probes 0..5 and ends SAT at the optimum: 6 calls.
         const auto backend = cnf::makeInternalBackend();
-        const auto y = makeChain(*backend);
+        const auto y = makeChain(*backend, 10, 5);
         const auto result = smallestFeasibleIndex(
             *backend, [&](int t) { return y[t]; }, 0, 9, SearchStrategy::LinearUp);
         ASSERT_TRUE(result.feasible);
@@ -271,32 +328,33 @@ TEST(Minimize, SkipsRedundantTrailingResolve) {
         EXPECT_TRUE(backend->modelValue(y[5]));
     }
     {
-        // Binary probes 9, 4, 6, 5 and ends SAT at the optimum: 4 calls
-        // (was 5).
-        const auto backend = cnf::makeInternalBackend();
-        const auto y = makeChain(*backend);
+        // Binary gallops 0, 1, 3, 7 (the first SAT), bisects 5 (SAT) and
+        // ends on the UNSAT 4 with the model of 5: 6 calls.
+        ProbeRecordingBackend backend;
+        const auto y = makeChain(backend, 10, 5);
         const auto result = smallestFeasibleIndex(
-            *backend, [&](int t) { return y[t]; }, 0, 9, SearchStrategy::Binary);
+            backend, [&](int t) { return y[t]; }, 0, 9, SearchStrategy::Binary);
         ASSERT_TRUE(result.feasible);
         EXPECT_EQ(result.index, 5);
-        EXPECT_EQ(result.solveCalls, 4U);
-        EXPECT_TRUE(backend->modelValue(y[5]));
+        EXPECT_EQ(result.solveCalls, 6U);
+        EXPECT_EQ(backend.probes, (std::vector<int>{0, 1, 3, 7, 5, 4}));
+        EXPECT_TRUE(backend.modelValue(y[5]));
     }
     {
-        // LinearDown's last probe here is the UNSAT stop at 4, so the
-        // re-solve at the optimum is still required: 7 calls, model at 5.
+        // LinearDown's last probe is the UNSAT stop at 4, and the model of
+        // 5 stays: 6 calls.
         const auto backend = cnf::makeInternalBackend();
-        const auto y = makeChain(*backend);
+        const auto y = makeChain(*backend, 10, 5);
         const auto result = smallestFeasibleIndex(
             *backend, [&](int t) { return y[t]; }, 0, 9, SearchStrategy::LinearDown);
         ASSERT_TRUE(result.feasible);
         EXPECT_EQ(result.index, 5);
-        EXPECT_EQ(result.solveCalls, 7U);
+        EXPECT_EQ(result.solveCalls, 6U);
         EXPECT_TRUE(backend->modelValue(y[5]));
     }
     {
         // A fully feasible range walks LinearDown to the lower bound and
-        // ends SAT right there: 3 calls, no re-solve (was 4).
+        // ends SAT right there: 3 calls.
         const auto backend = cnf::makeInternalBackend();
         const auto y = makeInputs(*backend, 4);
         const auto result = smallestFeasibleIndex(
@@ -308,10 +366,9 @@ TEST(Minimize, SkipsRedundantTrailingResolve) {
     }
 }
 
-/// Regression: minimizeTrueLiterals must not re-solve at the optimum when
-/// the search's final probe already was SAT there, and must still re-solve
-/// after a final UNSAT probe. Either way the model left behind counts the
-/// optimum.
+/// Regression: minimizeTrueLiterals never re-solves at the optimum, after a
+/// final SAT or UNSAT probe alike. Either way the model left behind counts
+/// the optimum.
 TEST(Minimize, SkipsRedundantTrailingResolveInBorderSearch) {
     struct Case {
         SearchStrategy strategy;
@@ -319,19 +376,18 @@ TEST(Minimize, SkipsRedundantTrailingResolveInBorderSearch) {
         std::uint64_t solveCalls;
     };
     const Case cases[] = {
-        // Five free literals: every strategy ends on a SAT probe at 0, so
-        // none re-solves. LinearDown: first solve, atMost(4), atMost(0).
-        // LinearUp: first solve, atMost(0). Binary: first solve, atMost(2),
-        // atMost(0).
+        // Five free literals: every strategy ends on a SAT probe at 0.
+        // LinearDown: first solve, atMost(4), atMost(0). LinearUp: first
+        // solve, atMost(0). Binary: first solve, atMost(2), atMost(0).
         {SearchStrategy::LinearDown, false, 3U},
         {SearchStrategy::LinearUp, false, 2U},
         {SearchStrategy::Binary, false, 3U},
         // Three disjoint demands: LinearDown and Binary end on the UNSAT
-        // atMost(2) and re-solve at 3; LinearUp ends SAT at atMost(3) after
-        // UNSAT at 0, 1 and 2.
-        {SearchStrategy::LinearDown, true, 4U},
+        // atMost(2) and keep the model of 3; LinearUp ends SAT at atMost(3)
+        // after UNSAT at 0, 1 and 2.
+        {SearchStrategy::LinearDown, true, 3U},
         {SearchStrategy::LinearUp, true, 5U},
-        {SearchStrategy::Binary, true, 5U},
+        {SearchStrategy::Binary, true, 4U},
     };
     for (const Case& c : cases) {
         SCOPED_TRACE(std::string(toString(c.strategy)) + (c.covering ? ", covering" : ", free"));

@@ -22,6 +22,7 @@
 #include <mutex>
 #include <random>
 #include <set>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -31,6 +32,7 @@
 #include "core/encoder.hpp"
 #include "core/instance.hpp"
 #include "core/tasks.hpp"
+#include "opt/minimize.hpp"
 #include "sat/drat_check.hpp"
 #include "sat/portfolio.hpp"
 #include "sat/proof.hpp"
@@ -667,6 +669,72 @@ TEST(PortfolioSoloProbe, BackendEnablesTheGateByDefaultAndRecordsTheMetric) {
     ASSERT_EQ(backend->solve(std::span<const Literal>{}), SolveStatus::Sat);
     EXPECT_TRUE(backend->modelValue(Literal::positive(0)));
     EXPECT_EQ(registry.counter("etcs.sat.portfolio.gated").value(), before + 1);
+}
+
+/// SatBackend::modelValue reads the most recent satisfying model, so a later
+/// solve that ends Unknown — here cancelled through the progress hook —
+/// leaves that model readable instead of throwing.
+TEST(PortfolioBackend, ModelSurvivesACancelledSolve) {
+    const auto backend = cnf::makePortfolioBackend(2);
+    const CnfFormula php = pigeonhole(11, 10);
+    for (int v = 0; v < php.numVariables; ++v) {
+        backend->addVariable();
+    }
+    backend->addClause({Literal::positive(0)});
+    backend->addClause({Literal::negative(1)});
+    ASSERT_EQ(backend->solve(std::span<const Literal>{}), SolveStatus::Sat);
+    std::vector<bool> model;
+    for (Var v = 0; v < php.numVariables; ++v) {
+        model.push_back(backend->modelValue(Literal::positive(v)));
+    }
+
+    for (const auto& clause : php.clauses) {
+        backend->addClause(clause);
+    }
+    ASSERT_TRUE(backend->setProgressCallback([](const SolverProgress&) { return false; }, 1));
+    ASSERT_EQ(backend->solve(std::span<const Literal>{}), SolveStatus::Unknown);
+    for (Var v = 0; v < php.numVariables; ++v) {
+        EXPECT_EQ(backend->modelValue(Literal::positive(v)), model[static_cast<std::size_t>(v)])
+            << "variable " << v;
+    }
+    EXPECT_TRUE(backend->modelValue(Literal::positive(0)));
+    EXPECT_FALSE(backend->modelValue(Literal::positive(1)));
+}
+
+/// A border-style minimization that ends on an UNSAT probe (LinearDown's
+/// refuted bound) keeps the last SAT probe's model instead of re-solving.
+/// With the solo-probe gate off the two workers race every probe, so the
+/// UNSAT probe's winner need not be the worker that found that model.
+TEST(PortfolioBackend, MinimizationEndingUnsatLeavesTheOptimalModel) {
+    const unsigned seed = etcs::test::effectiveSeed(6300);
+    SCOPED_TRACE(etcs::test::seedTrace(seed));
+    std::mt19937 rng(seed);
+    for (int round = 0; round < 8; ++round) {
+        SCOPED_TRACE("round " + std::to_string(round));
+        PortfolioOptions options;
+        options.numThreads = 2;
+        options.soloProbeConflicts = 0;
+        const auto backend = cnf::makePortfolioBackend(options);
+        // Six disjoint demands over pairs of 12 soft literals, shuffled:
+        // optimum 6.
+        std::vector<Literal> soft;
+        for (int v = 0; v < 12; ++v) {
+            soft.push_back(Literal::positive(backend->addVariable()));
+        }
+        std::shuffle(soft.begin(), soft.end(), rng);
+        for (std::size_t i = 0; i < soft.size(); i += 2) {
+            backend->addClause({soft[i], soft[i + 1]});
+        }
+        const auto result =
+            opt::minimizeTrueLiterals(*backend, soft, opt::SearchStrategy::LinearDown);
+        ASSERT_TRUE(result.feasible);
+        EXPECT_EQ(result.optimum, 6);
+        int count = 0;
+        for (const Literal l : soft) {
+            count += backend->modelValue(l) ? 1 : 0;
+        }
+        EXPECT_EQ(count, 6);
+    }
 }
 
 TEST(PortfolioBackend, ReportsItsNameAndThreadCount) {

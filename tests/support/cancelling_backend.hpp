@@ -6,45 +6,28 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <string>
-#include <vector>
 
-#include "cnf/backend.hpp"
+#include "forwarding_backend.hpp"
 
 namespace etcs::test {
 
-class CancellingBackend final : public cnf::SatBackend {
+class CancellingBackend final : public ForwardingBackend {
 public:
     /// `solves` counts every solve() call, cancelled or not.
     CancellingBackend(std::uint64_t cancelFrom, std::uint64_t& solves)
         : cancelFrom_(cancelFrom), solves_(&solves) {}
 
-    using cnf::SatBackend::addClause;
-    using cnf::SatBackend::solve;
+    using ForwardingBackend::solve;
 
-    cnf::Var addVariable() override { return inner_->addVariable(); }
-    [[nodiscard]] int numVariables() const override { return inner_->numVariables(); }
-    [[nodiscard]] std::size_t numClauses() const override { return inner_->numClauses(); }
-    void addClause(std::span<const cnf::Literal> literals) override {
-        inner_->addClause(literals);
-    }
     cnf::SolveStatus solve(std::span<const cnf::Literal> assumptions) override {
         return ++*solves_ >= cancelFrom_ ? cnf::SolveStatus::Unknown
-                                         : inner_->solve(assumptions);
+                                         : ForwardingBackend::solve(assumptions);
     }
-    [[nodiscard]] bool modelValue(cnf::Literal l) const override {
-        return inner_->modelValue(l);
-    }
-    [[nodiscard]] std::vector<cnf::Literal> conflictCore() const override {
-        return inner_->conflictCore();
-    }
-    [[nodiscard]] const sat::SolverStats& stats() const override { return inner_->stats(); }
     [[nodiscard]] std::string name() const override { return "cancelling"; }
 
 private:
-    std::unique_ptr<cnf::SatBackend> inner_ = cnf::makeInternalBackend();
     std::uint64_t cancelFrom_;
     std::uint64_t* solves_;
 };
