@@ -246,83 +246,11 @@ void pruningScaling() {
     }
 }
 
-void unrollScaling() {
-    std::cout << "S1g: BMC-style horizon unrolling vs monolithic (optimization\n"
-                 "     task on the open schedule, internal backend, completion-time\n"
-                 "     search only; final clause counts are deterministic — see\n"
-                 "     docs/UNROLLING.md)\n\n"
-              << std::right << std::setw(18) << "instance" << std::setw(12) << "mode"
-              << std::setw(9) << "vars" << std::setw(10) << "clauses" << std::setw(6)
-              << "sat" << std::setw(8) << "probes" << std::setw(9) << "horizon"
-              << std::setw(12) << "runtime[s]" << std::setw(9) << "drop[%]" << "\n";
-    const struct {
-        const char* name;
-        studies::CaseStudy study;
-    } cases[] = {{"running_example", studies::runningExample()},
-                 {"corridor_s4_t3", studies::corridor(4, 3, Meters::fromKilometers(2.0),
-                                                      Resolution{Meters(500), Seconds(60)})},
-                 {"nordlandsbanen", studies::nordlandsbanen()}};
-    auto& registry = obs::Registry::global();
-    for (const auto& c : cases) {
-        const core::Instance open(c.study.network, c.study.trains, c.study.openSchedule,
-                                  c.study.resolution);
-        std::size_t monolithicClauses = 0;
-        for (const bool unroll : {false, true}) {
-            core::TaskOptions options;
-            options.lintInstance = false;  // always encode + solve
-            // Completion-time search only: the lexicographic border pass
-            // re-encodes at the optimum on both sides and would wash out the
-            // formula-size comparison (and dominate the runtime on the
-            // largest study).
-            options.lexicographicSections = false;
-            options.unroll = unroll;
-            const auto result = core::optimizeSchedule(open, options);
-            if (!unroll) {
-                monolithicClauses = result.stats.numClauses;
-            }
-            const std::string mode = unroll ? "unroll" : "monolithic";
-            const std::string prefix =
-                "scaling.unroll." + std::string(c.name) + "." + mode + ".";
-            registry.gauge(prefix + "variables").set(result.stats.numVariables);
-            registry.gauge(prefix + "clauses")
-                .set(static_cast<double>(result.stats.numClauses));
-            // "verdict", not "sat" as in the other series: the perf-smoke
-            // determinism diff selects metrics by substring and "sat" would
-            // drag in the etcs.sat.* wall-clock histograms.
-            registry.gauge(prefix + "verdict").set(result.feasible ? 1 : 0);
-            registry.gauge(prefix + "completion_steps").set(result.completionSteps);
-            registry.gauge(prefix + "runtime_seconds").set(result.stats.runtimeSeconds);
-            registry.gauge(prefix + "probes").set(result.stats.unrollProbes);
-            registry.gauge(prefix + "start_horizon").set(result.stats.unrollStartHorizon);
-            registry.gauge(prefix + "final_horizon").set(result.stats.unrollFinalHorizon);
-            const double drop =
-                unroll && monolithicClauses > 0
-                    ? 100.0 * (1.0 - static_cast<double>(result.stats.numClauses) /
-                                         static_cast<double>(monolithicClauses))
-                    : 0.0;
-            if (unroll) {
-                registry.gauge(prefix + "clause_drop_percent").set(drop);
-            }
-            std::cout << std::setw(18) << c.name << std::setw(12) << mode << std::setw(9)
-                      << result.stats.numVariables << std::setw(10)
-                      << result.stats.numClauses << std::setw(6)
-                      << (result.feasible ? "yes" : "no") << std::setw(8)
-                      << result.stats.unrollProbes << std::setw(9)
-                      << (unroll ? result.stats.unrollFinalHorizon : open.horizonSteps())
-                      << std::setw(12) << std::fixed << std::setprecision(3)
-                      << result.stats.runtimeSeconds << std::setw(9)
-                      << std::setprecision(1) << drop << "\n";
-        }
-    }
-    std::cout << "\n";
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
     // With arguments, run only the named series (corridor, trains,
-    // resolution, portfolio, pruning, unroll) — used by CI to smoke single
-    // series.
+    // resolution, portfolio, pruning) — used by CI to smoke single series.
     const auto selected = [&](const char* series) {
         if (argc <= 1) {
             return true;
@@ -350,9 +278,6 @@ int main(int argc, char** argv) {
     }
     if (selected("pruning")) {
         pruningScaling();
-    }
-    if (selected("unroll")) {
-        unrollScaling();
     }
     const char* metricsFile = "BENCH_scaling.json";
     if (obs::Registry::global().writeJsonFile(metricsFile)) {

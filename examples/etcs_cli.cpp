@@ -44,13 +44,12 @@ struct CliOptions {
     bool explain = false;
     std::optional<std::string> explainJsonFile;
     int threads = 1;
-    bool unroll = false;
 };
 
 void usage() {
     std::cerr << "usage: etcs_cli <verify|generate|optimize|encode> <network.rail> "
                  "<scenario.sched> --rs <meters> --rt <seconds> [--dot <file>] "
-                 "[--cnf <file>] [--pure] [--threads <n>] [--unroll] [--explain] "
+                 "[--cnf <file>] [--pure] [--threads <n>] [--explain] "
                  "[--explain-json <file>]\n";
 }
 
@@ -69,10 +68,6 @@ std::optional<CliOptions> parseArguments(int argc, char** argv) {
         }
         if (std::strcmp(argv[i], "--explain") == 0) {
             options.explain = true;
-            continue;
-        }
-        if (std::strcmp(argv[i], "--unroll") == 0) {
-            options.unroll = true;
             continue;
         }
         if (i + 1 >= argc) {
@@ -136,17 +131,6 @@ void maybeExplain(const CliOptions& options, const core::Instance& instance,
     }
 }
 
-void maybePrintUnroll(const CliOptions& options, const core::TaskStats& stats,
-                      int fullHorizon) {
-    if (!options.unroll) {
-        return;
-    }
-    std::cout << "unroll: horizon " << stats.unrollStartHorizon << " -> "
-              << stats.unrollFinalHorizon << " of " << fullHorizon << " steps in "
-              << stats.unrollProbes << " probes, final formula " << stats.numClauses
-              << " clauses\n";
-}
-
 void maybeWriteDot(const CliOptions& options, const rail::SegmentGraph& graph,
                    const core::VssLayout& layout) {
     if (!options.dotFile) {
@@ -204,10 +188,6 @@ int main(int argc, char** argv) {
         }
         core::TaskOptions taskOptions;
         taskOptions.threads = options->threads;
-        taskOptions.unroll = options->unroll;
-        if (options->unroll) {
-            std::cout << "solver: incremental horizon unrolling\n";
-        }
         if (options->threads != 1) {
             std::cout << "solver: portfolio with "
                       << (options->threads == 0 ? "auto" : std::to_string(options->threads))
@@ -221,7 +201,6 @@ int main(int argc, char** argv) {
                       << (result.feasible ? "FEASIBLE" : "INFEASIBLE") << " ["
                       << result.stats.numVariables << " vars, "
                       << result.stats.runtimeSeconds << " s]\n";
-            maybePrintUnroll(*options, result.stats, instance.horizonSteps());
             if (!result.feasible) {
                 maybeExplain(*options, instance, &pure);
             }
@@ -238,7 +217,6 @@ int main(int argc, char** argv) {
                       << result.solution->layout.virtualBorderCount(instance.graph())
                       << " virtual borders) [" << result.stats.numVariables << " vars, "
                       << result.stats.runtimeSeconds << " s]\n";
-            maybePrintUnroll(*options, result.stats, instance.horizonSteps());
             maybeWriteDot(*options, instance.graph(), result.solution->layout);
             return 0;
         }
@@ -261,7 +239,6 @@ int main(int argc, char** argv) {
                   << resolution.timeOf(result.completionSteps).clock() << ") with "
                   << result.sectionCount << " sections [" << result.stats.runtimeSeconds
                   << " s]\n";
-        maybePrintUnroll(*options, result.stats, instance.horizonSteps());
         for (std::size_t r = 0; r < instance.numRuns(); ++r) {
             std::cout << "  " << scenario.trains.train(instance.runs()[r].train).name
                       << " arrives "

@@ -9,17 +9,6 @@
 
 namespace etcs::core {
 
-namespace {
-
-std::unique_ptr<cnf::SatBackend> makeBackend(const TaskOptions& options) {
-    if (options.backendFactory) {
-        return options.backendFactory();
-    }
-    return cnf::makeInternalBackend();
-}
-
-}  // namespace
-
 std::vector<TradeoffPoint> tradeoffCurve(const Instance& instance, int maxExtraBorders,
                                          const TaskOptions& options) {
     ETCS_REQUIRE_MSG(maxExtraBorders >= 0, "border budget must be non-negative");
@@ -272,8 +261,14 @@ IndividualArrivalResult optimizeIndividualArrivals(const Instance& instance,
 
     if (result.feasible) {
         ++result.stats.solveCalls;
-        const bool ok = backend->solve() == cnf::SolveStatus::Sat;
-        ETCS_REQUIRE_MSG(ok, "lexicographically fixed instance must stay satisfiable");
+        // A cancelled solve leaves the task without a solution, like the
+        // base tasks; only UNSAT would contradict the searches above.
+        const cnf::SolveStatus status = backend->solve();
+        ETCS_REQUIRE_MSG(status != cnf::SolveStatus::Unsat,
+                         "lexicographically fixed instance must stay satisfiable");
+        result.feasible = status == cnf::SolveStatus::Sat;
+    }
+    if (result.feasible) {
         result.solution = encoder.decode();
     }
     result.stats.numVariables = backend->numVariables();

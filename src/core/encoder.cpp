@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <string>
+#include <utility>
 
 #include "cnf/formula.hpp"
 #include "obs/metrics.hpp"
@@ -19,8 +20,13 @@ std::uint64_t pathKey(SegmentId e, SegmentId f, int maxLength) {
 
 }  // namespace
 
-Encoder::Encoder(SatBackend& backend, const Instance& instance, EncoderOptions options)
-    : backend_(&backend), instance_(&instance), options_(options) {}
+Encoder::Encoder(SatBackend& backend, const Instance& instance, EncoderOptions options,
+                 std::optional<PruneTable> reach)
+    : backend_(&backend), instance_(&instance), options_(options) {
+    if (options_.pruneUnreachable) {
+        prune_ = std::move(reach);
+    }
+}
 
 bool Encoder::inCone(std::size_t run, SegmentId segment, int step) const {
     const DiscreteRun& r = instance_->runs()[run];
@@ -50,11 +56,11 @@ bool Encoder::inCone(std::size_t run, SegmentId segment, int step) const {
     return true;
 }
 
-void Encoder::createOccupiesVariables(int from, int to) {
+void Encoder::createOccupiesVariables() {
     const auto& graph = instance_->graph();
     std::uint64_t prunedCells = 0;
     for (std::size_t run = 0; run < instance_->numRuns(); ++run) {
-        for (int t = from; t < to; ++t) {
+        for (int t = 0; t < instance_->horizonSteps(); ++t) {
             for (std::size_t s = 0; s < graph.numSegments(); ++s) {
                 if (!inCone(run, SegmentId(s), t)) {
                     continue;
@@ -71,11 +77,11 @@ void Encoder::createOccupiesVariables(int from, int to) {
     obs::Registry::global().counter("etcs.encoder.pruned.cells").add(prunedCells);
 }
 
-void Encoder::createDoneVariables(int from, int to) {
+void Encoder::createDoneVariables() {
     for (std::size_t run = 0; run < instance_->numRuns(); ++run) {
         const DiscreteRun& r = instance_->runs()[run];
         // A run can be done at the earliest one step after its departure.
-        for (int t = std::max(r.departureStep + 1, from); t < to; ++t) {
+        for (int t = r.departureStep + 1; t < instance_->horizonSteps(); ++t) {
             done_[run][static_cast<std::size_t>(t)] = Literal::positive(backend_->addVariable());
         }
     }
@@ -123,73 +129,49 @@ void Encoder::accumulateFamily(std::string_view family, int variables, std::size
 }
 
 void Encoder::encode(const VssLayout* fixedLayout) {
-    encodePrefix(fixedLayout, instance_->horizonSteps());
-}
-
-void Encoder::encodePrefix(const VssLayout* fixedLayout, int horizonSteps) {
     ETCS_REQUIRE_MSG(!encoded_, "encode() may only be called once per Encoder");
-    const int fullHorizon = instance_->horizonSteps();
-    ETCS_REQUIRE_MSG(horizonSteps >= 1 && horizonSteps <= fullHorizon,
-                     "encodePrefix: horizon out of range");
     encoded_ = true;
     fixedLayout_ = fixedLayout;
-    encodedHorizon_ = horizonSteps;
-    doneAll_.assign(static_cast<std::size_t>(fullHorizon), Literal{});
+    const auto horizon = static_cast<std::size_t>(instance_->horizonSteps());
+    doneAll_.assign(horizon, Literal{});
     occ_.assign(instance_->numRuns(),
                 std::vector<std::vector<Literal>>(
-                    static_cast<std::size_t>(fullHorizon),
-                    std::vector<Literal>(instance_->graph().numSegments())));
-    done_.assign(instance_->numRuns(),
-                 std::vector<Literal>(static_cast<std::size_t>(fullHorizon)));
-
-    // A prefix below the full horizon must guard the horizon-dependent
-    // open-stop clauses; track those stops so extensions can re-emit them.
-    const bool prefixOnly = horizonSteps < fullHorizon;
-    if (prefixOnly) {
-        for (std::size_t run = 0; run < instance_->numRuns(); ++run) {
-            const DiscreteRun& r = instance_->runs()[run];
-            for (std::size_t i = 0; i < r.stops.size(); ++i) {
-                if (!r.stops[i].arrivalStep) {
-                    openStops_.push_back(OpenStopState{run, i, {}, r.departureStep});
-                }
-            }
-        }
-    }
+                    horizon, std::vector<Literal>(instance_->graph().numSegments())));
+    done_.assign(instance_->numRuns(), std::vector<Literal>(horizon));
 
     const obs::Span span("encode");
     if (options_.pruneUnreachable) {
-        const obs::Span reachSpan("encode.reach");
-        prune_.emplace(*instance_);
+        if (!prune_) {
+            const obs::Span reachSpan("encode.reach");
+            prune_.emplace(*instance_);
+        }
         prune_->recordMetrics();
     }
-    measured("occupies_vars", [&] { createOccupiesVariables(0, horizonSteps); });
-    measured("done_vars", [&] { createDoneVariables(0, horizonSteps); });
+    measured("occupies_vars", [&] { createOccupiesVariables(); });
+    // Nothing else consults the table: free it before the clause families
+    // grow the solver, so it does not sit between the solver's allocations.
+    prune_.reset();
+    measured("done_vars", [&] { createDoneVariables(); });
     measured("border_vars", [&] { createBorderVariables(fixedLayout); });
 
     for (std::size_t run = 0; run < instance_->numRuns(); ++run) {
-        measured("chain_occupancy", [&] { encodeChainOccupancy(run, 0, horizonSteps); });
-        measured("movement", [&] { encodeMovement(run, 0, horizonSteps); });
-        measured("done_machinery", [&] { encodeDoneMachinery(run, 0, horizonSteps); });
-        measured("schedule_pins",
-                 [&] { encodeSchedulePins(run, 0, horizonSteps, !prefixOnly); });
-    }
-    if (!openStops_.empty()) {
-        measured("schedule_pins", [&] { emitOpenStopClauses(); });
+        measured("chain_occupancy", [&] { encodeChainOccupancy(run); });
+        measured("movement", [&] { encodeMovement(run); });
+        measured("done_machinery", [&] { encodeDoneMachinery(run); });
+        measured("schedule_pins", [&] { encodeSchedulePins(run); });
     }
     measured("vss_separation", [&] {
-        if (!separationPlanBuilt_) {
-            buildSeparationPlan(fixedLayout);
-        }
+        buildSeparationPlan(fixedLayout);
         for (std::size_t r1 = 0; r1 < instance_->numRuns(); ++r1) {
             for (std::size_t r2 = r1 + 1; r2 < instance_->numRuns(); ++r2) {
-                encodeVssSeparation(r1, r2, 0, horizonSteps);
+                encodeVssSeparation(r1, r2);
             }
         }
     });
     if (instance_->numRuns() > 1) {
         measured("pass_through", [&] {
             for (std::size_t run = 0; run < instance_->numRuns(); ++run) {
-                encodePassThrough(run, 0, horizonSteps);
+                encodePassThrough(run);
             }
         });
     }
@@ -215,65 +197,7 @@ void Encoder::encodePrefix(const VssLayout* fixedLayout, int horizonSteps) {
         obs::log(obs::LogLevel::Info, "encoder", "encoding finished",
                  ",\"variables\":" + std::to_string(backend_->numVariables()) +
                      ",\"clauses\":" + std::to_string(backend_->numClauses()) +
-                     ",\"horizon\":" + std::to_string(encodedHorizon_));
-    }
-}
-
-void Encoder::extendHorizon(int newHorizonSteps) {
-    ETCS_REQUIRE_MSG(encoded_, "encodePrefix() must run before extendHorizon()");
-    ETCS_REQUIRE_MSG(
-        newHorizonSteps > encodedHorizon_ && newHorizonSteps <= instance_->horizonSteps(),
-        "extendHorizon: horizon out of range");
-    const obs::Span span("encode.extend");
-    const int from = encodedHorizon_;
-    // Snapshot so only the extension's delta is mirrored into the registry
-    // (encodePrefix already mirrored everything before `from`).
-    const std::vector<FamilyCounts> before = familyCounts_;
-
-    measured("occupies_vars", [&] { createOccupiesVariables(from, newHorizonSteps); });
-    measured("done_vars", [&] { createDoneVariables(from, newHorizonSteps); });
-    for (std::size_t run = 0; run < instance_->numRuns(); ++run) {
-        measured("chain_occupancy", [&] { encodeChainOccupancy(run, from, newHorizonSteps); });
-        measured("movement", [&] { encodeMovement(run, from, newHorizonSteps); });
-        measured("done_machinery", [&] { encodeDoneMachinery(run, from, newHorizonSteps); });
-        measured("schedule_pins",
-                 [&] { encodeSchedulePins(run, from, newHorizonSteps, false); });
-    }
-    measured("vss_separation", [&] {
-        for (std::size_t r1 = 0; r1 < instance_->numRuns(); ++r1) {
-            for (std::size_t r2 = r1 + 1; r2 < instance_->numRuns(); ++r2) {
-                encodeVssSeparation(r1, r2, from, newHorizonSteps);
-            }
-        }
-    });
-    if (instance_->numRuns() > 1) {
-        measured("pass_through", [&] {
-            for (std::size_t run = 0; run < instance_->numRuns(); ++run) {
-                encodePassThrough(run, from, newHorizonSteps);
-            }
-        });
-    }
-    encodedHorizon_ = newHorizonSteps;
-    if (!openStops_.empty()) {
-        measured("schedule_pins", [&] { emitOpenStopClauses(); });
-    }
-
-    auto& registry = obs::Registry::global();
-    for (const FamilyCounts& counts : familyCounts_) {
-        int varsBefore = 0;
-        std::size_t clausesBefore = 0;
-        for (const FamilyCounts& prior : before) {
-            if (prior.family == counts.family) {
-                varsBefore = prior.variables;
-                clausesBefore = prior.clauses;
-                break;
-            }
-        }
-        const std::string family(counts.family);
-        registry.counter("etcs.encoder.vars." + family)
-            .add(static_cast<std::uint64_t>(counts.variables - varsBefore));
-        registry.counter("etcs.encoder.clauses." + family)
-            .add(counts.clauses - clausesBefore);
+                     ",\"horizon\":" + std::to_string(instance_->horizonSteps()));
     }
 }
 
@@ -310,7 +234,7 @@ void Encoder::recordProvenanceMetrics() const {
     }
 }
 
-void Encoder::encodeChainOccupancy(std::size_t run, int from, int to) {
+void Encoder::encodeChainOccupancy(std::size_t run) {
     const DiscreteRun& r = instance_->runs()[run];
     const auto& graph = instance_->graph();
 
@@ -319,7 +243,7 @@ void Encoder::encodeChainOccupancy(std::size_t run, int from, int to) {
         chains = graph.chains(r.lengthSegments);
     }
 
-    for (int t = std::max(r.departureStep, from); t < to; ++t) {
+    for (int t = r.departureStep; t < instance_->horizonSteps(); ++t) {
         tag({.family = "chain_occupancy", .run = static_cast<int>(run), .step = t});
         const auto& occAtT = occ_[run][static_cast<std::size_t>(t)];
         const Literal doneLit = done_[run][static_cast<std::size_t>(t)];
@@ -376,13 +300,12 @@ void Encoder::encodeChainOccupancy(std::size_t run, int from, int to) {
     tagEnd();
 }
 
-void Encoder::encodeMovement(std::size_t run, int from, int to) {
+void Encoder::encodeMovement(std::size_t run) {
     const DiscreteRun& r = instance_->runs()[run];
     const auto& graph = instance_->graph();
     const std::size_t numSegments = graph.numSegments();
 
-    // The (t -> t+1) cell is new iff t+1 entered the encoded range.
-    for (int t = std::max(r.departureStep, from - 1); t + 1 < to; ++t) {
+    for (int t = r.departureStep; t + 1 < instance_->horizonSteps(); ++t) {
         tag({.family = "movement", .run = static_cast<int>(run), .step = t});
         const auto& occNow = occ_[run][static_cast<std::size_t>(t)];
         const auto& occNext = occ_[run][static_cast<std::size_t>(t) + 1];
@@ -410,82 +333,63 @@ void Encoder::encodeMovement(std::size_t run, int from, int to) {
     tagEnd();
 }
 
-void Encoder::encodeDoneMachinery(std::size_t run, int from, int to) {
+void Encoder::encodeDoneMachinery(std::size_t run) {
     const DiscreteRun& r = instance_->runs()[run];
     const SegmentId dest = r.destination().segment;
 
-    for (int t = std::max(r.departureStep + 1, from - 1); t < to; ++t) {
-        // The monotonicity edge (t -> t+1) is new iff step t+1 entered the
-        // range; the definition clause at t is new iff t itself did.
-        const bool newEdge = t + 1 < to && t + 1 >= from;
-        const bool newDefinition = t >= from;
-        if (!newEdge && !newDefinition) {
-            continue;
-        }
+    for (int t = r.departureStep + 1; t < instance_->horizonSteps(); ++t) {
         tag({.family = "done_machinery", .run = static_cast<int>(run), .step = t});
         const Literal doneNow = done_[run][static_cast<std::size_t>(t)];
         // done is monotone: done^t -> done^{t+1}.
-        if (newEdge) {
+        if (t + 1 < instance_->horizonSteps()) {
             backend_->addClause({~doneNow, done_[run][static_cast<std::size_t>(t) + 1]});
         }
         // A run is done only right after having reached its destination:
         // done^t -> done^{t-1} | occupies[dest]^{t-1}  (with done^{dep} = false).
-        if (newDefinition) {
-            std::vector<Literal> clause{~doneNow};
-            const Literal donePrev = done_[run][static_cast<std::size_t>(t) - 1];
-            if (donePrev.valid()) {
-                clause.push_back(donePrev);
-            }
-            const Literal occDestPrev = occ_[run][static_cast<std::size_t>(t) - 1][dest.get()];
-            if (occDestPrev.valid()) {
-                clause.push_back(occDestPrev);
-            }
-            backend_->addClause(clause);
+        std::vector<Literal> clause{~doneNow};
+        const Literal donePrev = done_[run][static_cast<std::size_t>(t) - 1];
+        if (donePrev.valid()) {
+            clause.push_back(donePrev);
         }
+        const Literal occDestPrev = occ_[run][static_cast<std::size_t>(t) - 1][dest.get()];
+        if (occDestPrev.valid()) {
+            clause.push_back(occDestPrev);
+        }
+        backend_->addClause(clause);
     }
     tagEnd();
 }
 
-void Encoder::encodeSchedulePins(std::size_t run, int from, int to, bool inlineOpenStops) {
+void Encoder::encodeSchedulePins(std::size_t run) {
     const DiscreteRun& r = instance_->runs()[run];
-    const int fullHorizon = instance_->horizonSteps();
+    const int horizon = instance_->horizonSteps();
 
-    // Input position: the train appears at its origin at departure.
-    if (r.departureStep >= from && r.departureStep < to) {
-        tag({.family = "schedule_pins",
-             .run = static_cast<int>(run),
-             .step = r.departureStep,
-             .segment = static_cast<int>(r.originSegment.get())});
-        const Literal origin =
-            occ_[run][static_cast<std::size_t>(r.departureStep)][r.originSegment.get()];
-        if (origin.valid()) {
-            backend_->addUnit(origin);
-        } else {
-            backend_->addClause({});  // origin unreachable: instance infeasible
-        }
+    // Input position: the train appears at its origin at departure (the
+    // Instance guarantees a departure inside the horizon).
+    tag({.family = "schedule_pins",
+         .run = static_cast<int>(run),
+         .step = r.departureStep,
+         .segment = static_cast<int>(r.originSegment.get())});
+    const Literal origin =
+        occ_[run][static_cast<std::size_t>(r.departureStep)][r.originSegment.get()];
+    if (origin.valid()) {
+        backend_->addUnit(origin);
+    } else {
+        backend_->addClause({});  // origin unreachable: instance infeasible
     }
 
     for (const DiscreteStop& stop : r.stops) {
         if (stop.arrivalStep) {
             // Pinned stop: occupies[stop]^{arrival} = 1 (paper's schedule
-            // triples); a dwell extends the pin over consecutive steps. Pins
-            // beyond the full horizon can never be encoded and fail at the
-            // initial prefix; pins beyond the current prefix wait for the
-            // extension that brings their step into range.
+            // triples); a dwell extends the pin over consecutive steps.
             for (int j = 0; j < stop.dwellSteps; ++j) {
                 const int step = *stop.arrivalStep + j;
-                if (step >= fullHorizon) {
-                    if (from > 0) {
-                        continue;  // already reported by the prefix encoding
-                    }
+                if (step >= horizon) {
                     tag({.family = "schedule_pins",
                          .run = static_cast<int>(run),
                          .step = step,
                          .segment = static_cast<int>(stop.segment.get())});
                     backend_->addClause({});  // past the horizon
-                    continue;
-                }
-                if (step < from || step >= to) {
                     continue;
                 }
                 tag({.family = "schedule_pins",
@@ -500,28 +404,28 @@ void Encoder::encodeSchedulePins(std::size_t run, int from, int to, bool inlineO
                     backend_->addClause({});  // unreachable
                 }
             }
-        } else if (inlineOpenStops && stop.dwellSteps <= 1) {
+        } else if (stop.dwellSteps <= 1) {
             // Open stop: the run must visit it at some step (paper Sec. III-C,
             // optimization task).
             tag({.family = "schedule_pins",
                  .run = static_cast<int>(run),
                  .segment = static_cast<int>(stop.segment.get())});
             std::vector<Literal> clause;
-            for (int t = r.departureStep; t < to; ++t) {
+            for (int t = r.departureStep; t < horizon; ++t) {
                 const Literal lit = occ_[run][static_cast<std::size_t>(t)][stop.segment.get()];
                 if (lit.valid()) {
                     clause.push_back(lit);
                 }
             }
             backend_->addClause(clause);
-        } else if (inlineOpenStops) {
+        } else {
             // Open stop with dwell: some window of dwellSteps consecutive
             // steps must all occupy the stop. One selector per window start.
             tag({.family = "schedule_pins",
                  .run = static_cast<int>(run),
                  .segment = static_cast<int>(stop.segment.get())});
             std::vector<Literal> selectors;
-            for (int t = r.departureStep; t + stop.dwellSteps <= to; ++t) {
+            for (int t = r.departureStep; t + stop.dwellSteps <= horizon; ++t) {
                 bool windowAvailable = true;
                 for (int j = 0; j < stop.dwellSteps && windowAvailable; ++j) {
                     windowAvailable =
@@ -545,78 +449,7 @@ void Encoder::encodeSchedulePins(std::size_t run, int from, int to, bool inlineO
     tagEnd();
 }
 
-void Encoder::emitOpenStopClauses() {
-    // Retire the previous prefix's guard: with the guard forced false its
-    // clauses are satisfied, so the re-emission below fully replaces them.
-    if (horizonGuard_.valid()) {
-        tag({.family = "schedule_pins"});
-        backend_->addUnit(~horizonGuard_);
-        tagEnd();
-        horizonGuard_ = Literal{};
-    }
-    const bool atFullHorizon = encodedHorizon_ == instance_->horizonSteps();
-    if (!atFullHorizon) {
-        horizonGuard_ = Literal::positive(backend_->addVariable());
-    }
-    for (OpenStopState& state : openStops_) {
-        const DiscreteRun& r = instance_->runs()[state.run];
-        const DiscreteStop& stop = r.stops[state.stopIndex];
-        tag({.family = "schedule_pins",
-             .run = static_cast<int>(state.run),
-             .segment = static_cast<int>(stop.segment.get())});
-        if (stop.dwellSteps <= 1) {
-            // Open stop: visited at some encoded step — under the guard while
-            // the horizon can still grow, hard once it cannot.
-            std::vector<Literal> clause;
-            if (horizonGuard_.valid()) {
-                clause.push_back(~horizonGuard_);
-            }
-            for (int t = r.departureStep; t < encodedHorizon_; ++t) {
-                const Literal lit =
-                    occ_[state.run][static_cast<std::size_t>(t)][stop.segment.get()];
-                if (lit.valid()) {
-                    clause.push_back(lit);
-                }
-            }
-            backend_->addClause(clause);
-        } else {
-            // Open stop with dwell: window selectors are horizon-independent
-            // and created once per window; only the at-least-one clause is
-            // horizon-dependent and re-emitted per prefix.
-            for (int t = state.nextWindowStart; t + stop.dwellSteps <= encodedHorizon_; ++t) {
-                bool windowAvailable = true;
-                for (int j = 0; j < stop.dwellSteps && windowAvailable; ++j) {
-                    windowAvailable =
-                        occ_[state.run][static_cast<std::size_t>(t + j)][stop.segment.get()]
-                            .valid();
-                }
-                if (!windowAvailable) {
-                    continue;
-                }
-                const Literal selector = Literal::positive(backend_->addVariable());
-                for (int j = 0; j < stop.dwellSteps; ++j) {
-                    backend_->addClause(
-                        {~selector,
-                         occ_[state.run][static_cast<std::size_t>(t + j)]
-                             [stop.segment.get()]});
-                }
-                state.selectors.push_back(selector);
-            }
-            state.nextWindowStart =
-                std::max(state.nextWindowStart, encodedHorizon_ - stop.dwellSteps + 1);
-            std::vector<Literal> clause;
-            if (horizonGuard_.valid()) {
-                clause.push_back(~horizonGuard_);
-            }
-            clause.insert(clause.end(), state.selectors.begin(), state.selectors.end());
-            backend_->addClause(clause);  // empty -> infeasible, as intended
-        }
-    }
-    tagEnd();
-}
-
 void Encoder::buildSeparationPlan(const VssLayout* fixedLayout) {
-    separationPlanBuilt_ = true;
     if (instance_->numRuns() < 2) {
         return;  // C3 never emits without a run pair
     }
@@ -667,7 +500,7 @@ void Encoder::buildSeparationPlan(const VssLayout* fixedLayout) {
     }
 }
 
-void Encoder::encodeVssSeparation(std::size_t run1, std::size_t run2, int from, int to) {
+void Encoder::encodeVssSeparation(std::size_t run1, std::size_t run2) {
     const DiscreteRun& r1 = instance_->runs()[run1];
     const DiscreteRun& r2 = instance_->runs()[run2];
     const int firstStep = std::max(r1.departureStep, r2.departureStep);
@@ -675,7 +508,7 @@ void Encoder::encodeVssSeparation(std::size_t run1, std::size_t run2, int from, 
     for (const SeparationEntry& entry : separationPlan_) {
         const SegmentId e = entry.e;
         const SegmentId f = entry.f;
-        for (int t = std::max(firstStep, from); t < to; ++t) {
+        for (int t = firstStep; t < instance_->horizonSteps(); ++t) {
             tag({.family = "vss_separation",
                  .run = static_cast<int>(run1),
                  .run2 = static_cast<int>(run2),
@@ -731,14 +564,12 @@ const std::vector<SegmentId>& Encoder::pathUnion(SegmentId e, SegmentId f, int m
     return pathUnionCache_.emplace(key, std::move(segments)).first->second;
 }
 
-void Encoder::encodePassThrough(std::size_t mover, int from, int to) {
+void Encoder::encodePassThrough(std::size_t mover) {
     const DiscreteRun& r = instance_->runs()[mover];
     const std::size_t numSegments = instance_->graph().numSegments();
 
-    // Cell t covers the movement between t and t+1, so a horizon-`to`
-    // encoding holds the cells t + 1 < to: a prefix emits [departure, k-1)
-    // and its extension to k' the disjoint [k-1, k'-1).
-    for (int t = std::max(r.departureStep, from - 1); t + 1 < to; ++t) {
+    // Cell t covers the movement between t and t+1.
+    for (int t = r.departureStep; t + 1 < instance_->horizonSteps(); ++t) {
         tag({.family = "pass_through", .run = static_cast<int>(mover), .step = t});
         const auto& occNow = occ_[mover][static_cast<std::size_t>(t)];
         const auto& occNext = occ_[mover][static_cast<std::size_t>(t) + 1];
@@ -819,8 +650,8 @@ void Encoder::encodePassThrough(std::size_t mover, int from, int to) {
 
 Literal Encoder::doneAllLiteral(int step) {
     ETCS_REQUIRE_MSG(encoded_, "encode() must run before doneAllLiteral()");
-    ETCS_REQUIRE_MSG(step >= 0 && step < encodedHorizon_,
-                     "doneAllLiteral: step outside the encoded horizon");
+    ETCS_REQUIRE_MSG(step >= 0 && step < instance_->horizonSteps(),
+                     "doneAllLiteral: step outside the horizon");
     Literal& cached = doneAll_[static_cast<std::size_t>(step)];
     if (cached.valid()) {
         return cached;
@@ -878,11 +709,7 @@ Solution Encoder::decode() const {
         RunTrace& trace = solution.traces[run];
         trace.occupied.assign(static_cast<std::size_t>(horizon), {});
         const SegmentId dest = instance_->runs()[run].destination().segment;
-        // Steps past the encoded prefix have occupancy *variables* but no
-        // clauses; their model values are solver noise, so an unrolled
-        // decode must stop at the encoded horizon (the probe's completion
-        // assumption guarantees every train is gone by then anyway).
-        for (int t = 0; t < encodedHorizon_; ++t) {
+        for (int t = 0; t < horizon; ++t) {
             for (std::size_t s = 0; s < graph.numSegments(); ++s) {
                 const Literal lit = occ_[run][static_cast<std::size_t>(t)][s];
                 if (lit.valid() && backend_->modelValue(lit)) {

@@ -20,12 +20,6 @@
 /// Constraint families (paper Sec. III-B):
 ///  C1 chain occupancy, C2 movement, C3 VSS separation, C4 no pass-through,
 /// plus the schedule pinning of Sec. III-C.
-///
-/// The time axis can be unrolled lazily (BMC-style, docs/UNROLLING.md):
-/// encodePrefix(k) emits the constraints of the first k steps only and
-/// extendHorizon(k') later appends exactly the clauses of the added steps,
-/// so an incremental solver can probe growing horizons warm. encode() is
-/// the monolithic special case encodePrefix(full horizon).
 #pragma once
 
 #include <optional>
@@ -83,40 +77,17 @@ struct Solution {
 
 class Encoder {
 public:
-    Encoder(SatBackend& backend, const Instance& instance, EncoderOptions options = {});
+    /// `reach` is `instance`'s reachability table when the caller has built
+    /// one already (the tasks' fail-fast gate does); encode() then prunes with
+    /// it instead of running the fixpoint again. Without one, encode() builds
+    /// its own. Ignored unless options.pruneUnreachable.
+    Encoder(SatBackend& backend, const Instance& instance, EncoderOptions options = {},
+            std::optional<PruneTable> reach = std::nullopt);
 
     /// Emit all constraints over the full horizon. Pass a layout to pin every
     /// border (verification task); pass nullptr to leave borders free
-    /// (generation/optimization). Equivalent to encodePrefix over the full
-    /// instance horizon.
+    /// (generation/optimization). May only be called once.
     void encode(const VssLayout* fixedLayout);
-
-    /// Emit the constraints of the first `horizonSteps` steps only (BMC-style
-    /// prefix, docs/UNROLLING.md). Clauses whose shape depends on the horizon
-    /// — the open-stop "visit eventually" disjunctions — are emitted under a
-    /// per-horizon activation guard (horizonGuardLiteral()) so a later
-    /// extension can re-emit them for the longer horizon without retracting
-    /// anything; at the full horizon they are emitted as hard clauses,
-    /// making the fully extended formula satisfiability-equal to the
-    /// monolithic encoding. May only be called once, like encode().
-    void encodePrefix(const VssLayout* fixedLayout, int horizonSteps);
-
-    /// Append the constraints of steps [encodedHorizon(), newHorizonSteps) to
-    /// the backend: per-step C1–C4, done machinery, schedule pins falling in
-    /// the new range, and re-emitted open-stop clauses under a fresh guard
-    /// (the previous guard is retired with a unit). Provenance, family
-    /// accounting, and reachability pruning accumulate exactly as in the
-    /// monolithic emission.
-    void extendHorizon(int newHorizonSteps);
-
-    /// Number of steps encoded so far (== instance horizon after encode()).
-    [[nodiscard]] int encodedHorizon() const noexcept { return encodedHorizon_; }
-
-    /// Activation guard for the current prefix's horizon-dependent open-stop
-    /// clauses; assume it positively when probing the prefix. Invalid when no
-    /// guard is needed (no open stops, or the prefix reached the full
-    /// horizon, where those clauses are hard).
-    [[nodiscard]] Literal horizonGuardLiteral() const noexcept { return horizonGuard_; }
 
     /// Free border literals (free-layout mode), for the minimization
     /// objective min sum(border_v). Each is the negation of a fresh variable,
@@ -127,7 +98,7 @@ public:
 
     /// Literal forcing "every run is done at `step`" (paper's done^t_i as an
     /// implication-defined selector); usable as a solver assumption. The step
-    /// must lie inside the encoded horizon.
+    /// must lie inside the horizon.
     [[nodiscard]] Literal doneAllLiteral(int step);
 
     /// Earliest step at which all runs could possibly be done (lower bound
@@ -160,30 +131,20 @@ public:
     }
 
 private:
-    // Ranged emitters: each emits exactly the clauses a horizon-`to` encoding
-    // has beyond a horizon-`from` encoding, so encodePrefix (from = 0) and
-    // extendHorizon compose to the monolithic clause set.
-    void createOccupiesVariables(int from, int to);
-    void createDoneVariables(int from, int to);
+    void createOccupiesVariables();
+    void createDoneVariables();
     void createBorderVariables(const VssLayout* fixedLayout);
-    void encodeChainOccupancy(std::size_t run, int from, int to);
-    void encodeMovement(std::size_t run, int from, int to);
-    void encodeDoneMachinery(std::size_t run, int from, int to);
-    /// Origin/pinned-stop pins whose step falls in [from, to); with
-    /// `inlineOpenStops` (monolithic full-horizon call) also the open-stop
-    /// clauses, in the historical emission order.
-    void encodeSchedulePins(std::size_t run, int from, int to, bool inlineOpenStops);
-    /// (Re-)emit the horizon-dependent open-stop clauses for the current
-    /// encoded horizon: retire the previous guard, create the window
-    /// selectors that newly fit, and emit the at-least-one clauses — guarded
-    /// below the full horizon, hard at it.
-    void emitOpenStopClauses();
+    void encodeChainOccupancy(std::size_t run);
+    void encodeMovement(std::size_t run);
+    void encodeDoneMachinery(std::size_t run);
+    /// Origin and pinned-stop pins, then the open-stop visit clauses.
+    void encodeSchedulePins(std::size_t run);
     /// Precompute the per-(TTD, segment-pair) border disjunctions C3 needs —
-    /// they are horizon- and run-independent, so per-step extension reuses
+    /// they are step- and run-independent, so every run pair and step reuses
     /// them instead of re-walking the graph.
     void buildSeparationPlan(const VssLayout* fixedLayout);
-    void encodeVssSeparation(std::size_t run1, std::size_t run2, int from, int to);
-    void encodePassThrough(std::size_t mover, int from, int to);
+    void encodeVssSeparation(std::size_t run1, std::size_t run2);
+    void encodePassThrough(std::size_t mover);
 
     /// Run `fn`, attributing the backend variables/clauses it adds to
     /// `family` (accumulates across calls with the same family name).
@@ -215,11 +176,10 @@ private:
     const Instance* instance_;
     EncoderOptions options_;
     bool encoded_ = false;
-    int encodedHorizon_ = 0;           ///< steps encoded so far
-    std::optional<PruneTable> prune_;  ///< built by encode() when pruneUnreachable
+    std::optional<PruneTable> prune_;  ///< pruneUnreachable's table, until the
+                                       ///< occupies variables exist
 
-    // occ_[run][t][segment]: literal or invalid (constant false). Sized to
-    // the full horizon up front; steps beyond encodedHorizon_ stay invalid.
+    // occ_[run][t][segment]: literal or invalid (constant false).
     std::vector<std::vector<std::vector<Literal>>> occ_;
     // done_[run][t]: literal or invalid (constant false before/at departure).
     std::vector<std::vector<Literal>> done_;
@@ -229,17 +189,6 @@ private:
     std::vector<SegNodeId> freeBorderNodes_;
     const VssLayout* fixedLayout_ = nullptr;
     std::vector<Literal> doneAll_;  // lazily created per step
-    Literal horizonGuard_{};        // activation guard of the current prefix
-
-    // Open stops tracked across horizon extensions: the dwell-window
-    // selectors created so far and where the window scan resumes.
-    struct OpenStopState {
-        std::size_t run = 0;
-        std::size_t stopIndex = 0;
-        std::vector<Literal> selectors;  ///< dwell > 1 only
-        int nextWindowStart = 0;
-    };
-    std::vector<OpenStopState> openStops_;
 
     // C3 emission plan: one entry per non-always-separated segment pair of a
     // TTD, with the border disjunctions of every connecting path (empty list
@@ -251,7 +200,6 @@ private:
         std::vector<std::vector<Literal>> disjunctions;
     };
     std::vector<SeparationEntry> separationPlan_;
-    bool separationPlanBuilt_ = false;
 
     std::vector<FamilyCounts> familyCounts_;
     ProvenanceTable provenance_;  ///< populated only when options_.trackProvenance

@@ -55,6 +55,11 @@ public:
     /// the caller must keep them alive for the instance's lifetime.
     Instance(const Network& network, const TrainSet& trains, const Schedule& schedule,
              Resolution resolution);
+    /// Temporaries would dangle, so they do not compile. (Two or more make
+    /// these overloads ambiguous, which does not compile either.)
+    Instance(const Network&&, const TrainSet&, const Schedule&, Resolution) = delete;
+    Instance(const Network&, const TrainSet&&, const Schedule&, Resolution) = delete;
+    Instance(const Network&, const TrainSet&, const Schedule&&, Resolution) = delete;
 
     [[nodiscard]] const Network& network() const noexcept { return *network_; }
     [[nodiscard]] const TrainSet& trains() const noexcept { return *trains_; }

@@ -1,11 +1,9 @@
 #include "core/tasks.hpp"
 
-#include <algorithm>
 #include <chrono>
 #include <optional>
-#include <span>
 #include <string>
-#include <vector>
+#include <utility>
 
 #include "lint/rail_lint.hpp"
 #include "obs/metrics.hpp"
@@ -25,10 +23,6 @@ std::string_view toString(OptimizeVerdict verdict) {
     return "unknown";
 }
 
-namespace {
-
-using Clock = std::chrono::steady_clock;
-
 std::unique_ptr<cnf::SatBackend> makeBackend(const TaskOptions& options) {
     auto backend = options.backendFactory ? options.backendFactory()
                    : options.threads == 1
@@ -41,17 +35,30 @@ std::unique_ptr<cnf::SatBackend> makeBackend(const TaskOptions& options) {
     return backend;
 }
 
+namespace {
+
+using Clock = std::chrono::steady_clock;
+
 double secondsSince(Clock::time_point start) {
     return std::chrono::duration<double>(Clock::now() - start).count();
 }
+
+/// The fail-fast gate's outcome: whether it proved the schedule infeasible,
+/// and the reachability table it built on the way, which the encoder prunes
+/// with, so a task runs the fixpoint once.
+struct Gate {
+    bool rejected = false;
+    std::optional<PruneTable> reach;
+};
 
 /// Fail-fast pre-pass: run the instance linter and report whether it proved
 /// the schedule unsatisfiable. The schedule lints are sound w.r.t. the
 /// encoding (see lint/rail_lint.hpp), so an Error-severity finding lets the
 /// task return infeasible without encoding or solving anything.
-bool lintRejects(const Instance& instance, const TaskOptions& options, const char* task) {
+Gate runGate(const Instance& instance, const TaskOptions& options, const char* task) {
+    Gate gate;
     if (!options.lintInstance) {
-        return false;
+        return gate;
     }
     lint::LintReport report;
     lint::lintSchedule(instance.graph(), instance.trains(), instance.schedule(), report);
@@ -65,30 +72,35 @@ bool lintRejects(const Instance& instance, const TaskOptions& options, const cha
                      ",\"lint_rejected\":true,\"errors\":" +
                          std::to_string(report.count(lint::Severity::Error)));
         }
-        return true;
+        gate.rejected = true;
+        return gate;
     }
     // Second, stronger gate: the fixpoint reachability analysis refutes
     // schedules the shortest-path bounds miss (R-codes, lint/reach.hpp) and
     // is equally sound w.r.t. the encoding.
-    const PruneTable reach(instance);
-    if (reach.provablyInfeasible()) {
+    {
+        const obs::Span reachSpan("gate.reach");
+        gate.reach.emplace(instance);
+    }
+    if (gate.reach->provablyInfeasible()) {
         obs::Registry::global()
             .counter(std::string("etcs.task.") + task + ".reach_rejected")
             .increment();
         if (obs::logEnabled(obs::LogLevel::Info)) {
             obs::log(obs::LogLevel::Info, "task", task,
                      ",\"reach_rejected\":true,\"violations\":" +
-                         std::to_string(reach.analysis().violations().size()));
+                         std::to_string(gate.reach->analysis().violations().size()));
         }
-        return true;
+        gate.rejected = true;
     }
-    return false;
+    return gate;
 }
 
 /// One task's solver and the Encoder feeding it.
 struct Session {
-    Session(const Instance& instance, const TaskOptions& options)
-        : backend(makeBackend(options)), encoder(*backend, instance, options.encoder) {}
+    Session(const Instance& instance, const TaskOptions& options, std::optional<PruneTable> reach)
+        : backend(makeBackend(options)),
+          encoder(*backend, instance, options.encoder, std::move(reach)) {}
 
     std::unique_ptr<cnf::SatBackend> backend;
     Encoder encoder;
@@ -124,18 +136,18 @@ void finishStats(TaskStats& stats, const cnf::SatBackend& backend, const char* t
 }
 
 /// The pipeline of every task: the lint/reach gate, one backend with its
-/// Encoder, then `body` — the prefix loop and the task's objective at the
-/// reached horizon, returning whether the task has a solution — and
-/// finally decode and finishStats.
+/// Encoder, then `body` — encode and the task's objective, returning whether
+/// the task has a solution — and finally decode and finishStats.
 template <typename Body>
 std::optional<Solution> runTask(const Instance& instance, const TaskOptions& options,
                                 const char* task, TaskStats& stats, Body&& body) {
     const auto start = Clock::now();
-    if (lintRejects(instance, options, task)) {
+    Gate gate = runGate(instance, options, task);
+    if (gate.rejected) {
         stats.runtimeSeconds = secondsSince(start);
         return std::nullopt;
     }
-    Session session(instance, options);
+    Session session(instance, options, std::move(gate.reach));
     std::optional<Solution> solution;
     if (body(session)) {
         solution = session.encoder.decode();
@@ -144,135 +156,19 @@ std::optional<Solution> runTask(const Instance& instance, const TaskOptions& opt
     return solution;
 }
 
-// ---- The prefix loop (BMC-style horizon unrolling, docs/UNROLLING.md) ----
-
-/// First horizon worth probing: every train must be able to finish inside the
-/// prefix (completion lower bound), and every pinned stop must lie strictly
-/// inside it with at least one step to spare — a train still dwelling at the
-/// prefix's last step cannot be done there, so shorter prefixes are UNSAT by
-/// construction and probing them would waste solver calls.
-int unrollStartHorizon(const Instance& instance, const Encoder& encoder) {
-    int lo = encoder.completionLowerBound() + 1;
-    for (const DiscreteRun& r : instance.runs()) {
-        for (const DiscreteStop& stop : r.stops) {
-            if (stop.arrivalStep) {
-                lo = std::max(lo, *stop.arrivalStep + stop.dwellSteps + 1);
-            }
-        }
-    }
-    return std::clamp(lo, 1, instance.horizonSteps());
-}
-
-/// Where the prefix loop stopped. Unless a probe was SAT or cancelled, the
-/// encoding has reached the full horizon and nothing was solved there yet.
-struct Prefix {
-    int horizon = 0;          ///< encoded horizon
-    int completionFloor = 0;  ///< no completion before this step is possible
-    bool sat = false;         ///< a probe found a model (under prefixAssumptions)
-    bool cancelled = false;   ///< a probe was cancelled (SolveStatus::Unknown)
-};
-
-/// A probe of the horizon-k prefix assumes its open-stop guard (when one is
-/// active) and that every train is done at step k-1.
-std::vector<cnf::Literal> prefixAssumptions(Encoder& encoder, int horizon) {
-    std::vector<cnf::Literal> assumptions;
-    const cnf::Literal guard = encoder.horizonGuardLiteral();
-    if (guard.valid()) {
-        assumptions.push_back(guard);
-    }
-    assumptions.push_back(encoder.doneAllLiteral(horizon - 1));
-    return assumptions;
-}
-
-/// The prefix loop: encode the horizon the task starts from — the full one,
-/// or with TaskOptions::unroll the shortest worth probing — and while it is
-/// shorter than the full horizon, probe it on the warm backend under
-/// prefixAssumptions and extend one step per UNSAT probe. With `unroll` off
-/// the loop only encodes. It never solves at the full horizon; the task's
-/// objective does, and verification and generation solve there without the
-/// completion assumption, so their UNSAT verdicts are assumption-free and
-/// DRAT-certifiable against the fully unrolled formula. Soundness: a prefix
-/// model under the assumptions extends
-/// to a full-horizon model by keeping every train done, and conversely any
-/// full-horizon model completing by step k-1 restricts to the prefix — see
-/// docs/UNROLLING.md for the argument.
-Prefix unrollPrefix(Session& session, const Instance& instance, const VssLayout* fixedLayout,
-                    const TaskOptions& options, TaskStats& stats) {
-    Encoder& encoder = session.encoder;
-    const int fullHorizon = instance.horizonSteps();
-    Prefix prefix;
-    prefix.horizon = fullHorizon;
-    prefix.completionFloor = encoder.completionLowerBound();
-    if (options.unroll) {
-        // Below the start horizon no completion is possible (see
-        // unrollStartHorizon).
-        prefix.horizon = unrollStartHorizon(instance, encoder);
-        prefix.completionFloor = std::max(prefix.completionFloor, prefix.horizon - 1);
-    }
-    const int startHorizon = prefix.horizon;
-    encoder.encodePrefix(fixedLayout, startHorizon);
-
-    auto& registry = obs::Registry::global();
-    int probes = 0;
-    while (prefix.horizon < fullHorizon) {
-        ++probes;
-        registry.counter("etcs.unroll.probes").increment();
-        cnf::SolveStatus status = cnf::SolveStatus::Unknown;
-        {
-            const obs::Span probeSpan("unroll.probe");
-            status = session.backend->solve(prefixAssumptions(encoder, prefix.horizon));
-        }
-        if (status != cnf::SolveStatus::Unsat) {
-            prefix.sat = status == cnf::SolveStatus::Sat;
-            prefix.cancelled = status == cnf::SolveStatus::Unknown;
-            break;
-        }
-        // No completion by step horizon-1.
-        prefix.completionFloor = prefix.horizon;
-        ++prefix.horizon;
-        registry.counter("etcs.unroll.extensions").increment();
-        const obs::Span extendSpan("unroll.extend");
-        encoder.extendHorizon(prefix.horizon);
-    }
-    stats.solveCalls += static_cast<std::uint64_t>(probes);
-
-    if (options.unroll) {
-        stats.unrollProbes = probes;
-        stats.unrollStartHorizon = startHorizon;
-        stats.unrollFinalHorizon = prefix.horizon;
-        registry.gauge("etcs.unroll.start_horizon").set(startHorizon);
-        registry.gauge("etcs.unroll.final_horizon").set(prefix.horizon);
-        if (obs::logEnabled(obs::LogLevel::Info)) {
-            obs::log(obs::LogLevel::Info, "unroll", "horizon unrolling finished",
-                     ",\"start\":" + std::to_string(startHorizon) +
-                         ",\"final\":" + std::to_string(prefix.horizon) +
-                         ",\"full\":" + std::to_string(fullHorizon) +
-                         ",\"probes\":" + std::to_string(probes));
-        }
-    }
-    return prefix;
-}
-
-// ---- Objectives at the reached horizon ------------------------------------
-
-/// Feasibility without an objective: a SAT probe has answered already; at the
-/// full horizon one assumption-free solve does.
-bool solveReached(Session& session, const Prefix& prefix, TaskStats& stats) {
-    if (prefix.sat || prefix.cancelled) {
-        return prefix.sat;
-    }
+/// Feasibility without an objective: one assumption-free solve, so an UNSAT
+/// verdict is DRAT-certifiable against the encoded formula.
+bool solve(Session& session, TaskStats& stats) {
     ++stats.solveCalls;
     return session.backend->solve() == cnf::SolveStatus::Sat;
 }
 
-/// The section objective min sum(border_v) under `assumptions`; false when no
-/// model was found (the formula is UNSAT or a solve was cancelled).
-bool minimizeBorders(Session& session, std::span<const cnf::Literal> assumptions,
-                     const TaskOptions& options, TaskStats& stats) {
+/// The section objective min sum(border_v); false when no model was found
+/// (the formula is UNSAT or a solve was cancelled).
+bool minimizeBorders(Session& session, const TaskOptions& options, TaskStats& stats) {
     const obs::Span minimizeSpan("minimize.borders");
     const auto minimized = opt::minimizeTrueLiterals(
-        *session.backend, session.encoder.freeBorderLiterals(), options.borderSearch, {},
-        assumptions);
+        *session.backend, session.encoder.freeBorderLiterals(), options.borderSearch);
     stats.solveCalls += minimized.solveCalls;
     return minimized.feasible;
 }
@@ -286,8 +182,8 @@ VerificationResult verifySchedule(const Instance& instance, const VssLayout& lay
     const obs::Span span("task.verify");
     VerificationResult result;
     result.solution = runTask(instance, options, "verify", result.stats, [&](Session& session) {
-        const Prefix prefix = unrollPrefix(session, instance, &layout, options, result.stats);
-        return solveReached(session, prefix, result.stats);
+        session.encoder.encode(&layout);
+        return solve(session, result.stats);
     });
     result.feasible = result.solution.has_value();
     return result;
@@ -299,19 +195,9 @@ GenerationResult generateLayout(const Instance& instance, const TaskOptions& opt
     const obs::Span span("task.generate");
     GenerationResult result;
     result.solution = runTask(instance, options, "generate", result.stats, [&](Session& session) {
-        const Prefix prefix = unrollPrefix(session, instance, nullptr, options, result.stats);
-        if (!options.minimizeSections || prefix.cancelled) {
-            return solveReached(session, prefix, result.stats);
-        }
-        // Minimize borders inside a SAT prefix: completion by the prefix's
-        // last step is objective-preserving for a fully timed schedule
-        // (docs/UNROLLING.md), so the assumptions scope the search without
-        // changing the optimum.
-        std::vector<cnf::Literal> scope;
-        if (prefix.sat) {
-            scope = prefixAssumptions(session.encoder, prefix.horizon);
-        }
-        return minimizeBorders(session, scope, options, result.stats);
+        session.encoder.encode(nullptr);
+        return options.minimizeSections ? minimizeBorders(session, options, result.stats)
+                                        : solve(session, result.stats);
     });
     result.feasible = result.solution.has_value();
     if (result.feasible) {
@@ -344,19 +230,12 @@ OptimizationResult optimizeImpl(const Instance& instance, const VssLayout* fixed
             return false;
         }
 
-        const Prefix prefix = unrollPrefix(session, instance, fixedLayout, options, result.stats);
-        if (prefix.cancelled) {
-            return false;
-        }
-        if (prefix.sat) {
-            // The first SAT horizon k completes at step k-1, and every
-            // shorter prefix was refuted.
-            completionSteps = prefix.horizon - 1;
-        } else {
+        encoder.encode(fixedLayout);
+        {
             const obs::Span minimizeSpan("minimize.completion_time");
             const auto search = opt::smallestFeasibleIndex(
                 *session.backend, [&](int step) { return encoder.doneAllLiteral(step); },
-                prefix.completionFloor, hi, options.timeSearch);
+                result.completionLowerBound, hi, options.timeSearch);
             result.stats.solveCalls += search.solveCalls;
             if (!search.feasible) {
                 return false;
@@ -365,14 +244,10 @@ OptimizationResult optimizeImpl(const Instance& instance, const VssLayout* fixed
         }
 
         if (options.lexicographicSections && fixedLayout == nullptr) {
-            // Freeze the optimal completion time (and the prefix's open-stop
-            // guard, when one is active), then minimize virtual borders.
-            const cnf::Literal guard = encoder.horizonGuardLiteral();
-            if (guard.valid()) {
-                session.backend->addUnit(guard);
-            }
+            // Freeze the optimal completion time, then minimize virtual
+            // borders.
             session.backend->addUnit(encoder.doneAllLiteral(completionSteps));
-            return minimizeBorders(session, {}, options, result.stats);
+            return minimizeBorders(session, options, result.stats);
         }
         return true;
     });

@@ -63,17 +63,12 @@ struct TaskOptions {
     /// way; set to false to opt out and always hand the instance to the
     /// solver.
     bool lintInstance = true;
-    /// Unroll the time axis lazily (BMC-style, docs/UNROLLING.md). Every
-    /// task runs one prefix loop before its objective; by default it starts
-    /// at the full horizon and only encodes. With `unroll` it starts at the
-    /// shortest horizon all trains could finish in, probes each prefix
-    /// under the all-trains-done assumption on the warm incremental
-    /// backend, and extends it one step per UNSAT probe. A SAT probe ends
-    /// the loop (for optimizeSchedule it is the optimal completion time);
-    /// otherwise the objective runs at the full horizon. Same verdicts,
-    /// witnesses and objective values as the default.
-    bool unroll = false;
 };
+
+/// The backend a task solves on: `backendFactory`'s when set, otherwise the
+/// internal solver or the portfolio as `threads` asks, with the `progress`
+/// hook attached. The analyses of core/analysis.hpp solve on it too.
+[[nodiscard]] std::unique_ptr<cnf::SatBackend> makeBackend(const TaskOptions& options);
 
 /// Effort/size measurements common to all tasks (Table I columns), extended
 /// with the backend's solver counters so results carry the full cost profile.
@@ -90,12 +85,6 @@ struct TaskStats {
     std::uint64_t restarts = 0;
     std::uint64_t maxDecisionLevel = 0;
     std::uint64_t peakLearnts = 0;
-    // Horizon unrolling counters (all 0 unless TaskOptions::unroll);
-    // numVariables/numClauses then report the final *unrolled* formula,
-    // directly comparable against the monolithic encoding's counts.
-    int unrollProbes = 0;         ///< prefix probes below the full horizon
-    int unrollStartHorizon = 0;   ///< first encoded prefix length (steps)
-    int unrollFinalHorizon = 0;   ///< horizon the prefix loop reached
 };
 
 struct VerificationResult {

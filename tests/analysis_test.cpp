@@ -2,9 +2,16 @@
 // and cost-weighted layout generation.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <memory>
+#include <string>
+#include <utility>
+
 #include "core/analysis.hpp"
 #include "core/validator.hpp"
+#include "obs/metrics.hpp"
 #include "studies/studies.hpp"
+#include "support/cancelling_backend.hpp"
 
 namespace etcs::core {
 namespace {
@@ -233,6 +240,83 @@ TEST_F(AnalysisFixture, IndividualArrivalsWithReversedPriority) {
 
 TEST_F(AnalysisFixture, IndividualArrivalsRejectBadPriority) {
     EXPECT_THROW((void)optimizeIndividualArrivals(open, {0, 1}), PreconditionError);
+}
+
+/// The analyses solve on the tasks' backend, so TaskOptions::threads reaches
+/// them: with two threads each one runs on the portfolio and reaches the
+/// single-threaded answers.
+TEST_F(AnalysisFixture, AnalysesHonourThreads) {
+    TaskOptions parallel;
+    parallel.threads = 2;
+    obs::Counter& portfolioSolves =
+        obs::Registry::global().counter("etcs.sat.portfolio.solves");
+
+    auto before = portfolioSolves.value();
+    const auto curve = tradeoffCurve(open, 3, parallel);
+    EXPECT_GT(portfolioSolves.value(), before) << "tradeoffCurve ignored threads";
+    const auto serialCurve = tradeoffCurve(open, 3);
+    ASSERT_EQ(curve.size(), serialCurve.size());
+    for (std::size_t k = 0; k < curve.size(); ++k) {
+        SCOPED_TRACE("budget " + std::to_string(k));
+        EXPECT_EQ(curve[k].feasible, serialCurve[k].feasible);
+        EXPECT_EQ(curve[k].completionSteps, serialCurve[k].completionSteps);
+    }
+
+    // Weighted generation: the minimal total cost of the virtual borders.
+    const auto costOf = [](SegNodeId node) { return 1 + static_cast<int>(node.get() % 3); };
+    const auto totalCost = [&](const GenerationResult& result) {
+        int cost = 0;
+        for (std::size_t n = 0; n < timed.graph().numNodes(); ++n) {
+            if (!timed.graph().node(SegNodeId(n)).fixedBorder &&
+                result.solution->layout.flags()[n]) {
+                cost += costOf(SegNodeId(n));
+            }
+        }
+        return cost;
+    };
+    before = portfolioSolves.value();
+    const auto weighted = generateLayoutWeighted(timed, costOf, parallel);
+    EXPECT_GT(portfolioSolves.value(), before) << "generateLayoutWeighted ignored threads";
+    const auto serialWeighted = generateLayoutWeighted(timed, costOf);
+    ASSERT_TRUE(weighted.feasible);
+    ASSERT_TRUE(serialWeighted.feasible);
+    EXPECT_EQ(totalCost(weighted), totalCost(serialWeighted));
+
+    before = portfolioSolves.value();
+    const auto arrivals = optimizeIndividualArrivals(open, {}, parallel);
+    EXPECT_GT(portfolioSolves.value(), before) << "optimizeIndividualArrivals ignored threads";
+    const auto serialArrivals = optimizeIndividualArrivals(open);
+    ASSERT_TRUE(arrivals.feasible);
+    ASSERT_TRUE(serialArrivals.feasible);
+    EXPECT_EQ(arrivals.doneSteps, serialArrivals.doneSteps);
+}
+
+/// A cancelled solve anywhere in optimizeIndividualArrivals — the
+/// everyone-finishes check, a per-train search or the final re-solve —
+/// ends it with no solution instead of a thrown PreconditionError.
+TEST_F(AnalysisFixture, IndividualArrivalsCancelledAtAnySolveReturnNoSolution) {
+    // Runs the analysis with solves cancelled from `cancelFrom` on; returns
+    // (feasible, solve calls made).
+    const auto run = [&](std::uint64_t cancelFrom) {
+        std::uint64_t solves = 0;
+        TaskOptions options;
+        options.backendFactory = [cancelFrom, &solves] {
+            return std::make_unique<test::CancellingBackend>(cancelFrom, solves);
+        };
+        const auto result = optimizeIndividualArrivals(open, {}, options);
+        EXPECT_EQ(result.solution.has_value(), result.feasible);
+        return std::pair{result.feasible, solves};
+    };
+    const auto [feasible, calls] = run(UINT64_MAX);
+    ASSERT_TRUE(feasible);
+    ASSERT_GE(calls, 2U);
+    for (std::uint64_t cancelFrom = 1; cancelFrom <= calls; ++cancelFrom) {
+        SCOPED_TRACE("cancelled from solve " + std::to_string(cancelFrom));
+        std::pair<bool, std::uint64_t> cancelled{true, 0};
+        EXPECT_NO_THROW(cancelled = run(cancelFrom));
+        EXPECT_FALSE(cancelled.first);
+        EXPECT_EQ(cancelled.second, cancelFrom) << "the analysis kept solving";
+    }
 }
 
 }  // namespace

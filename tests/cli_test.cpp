@@ -508,10 +508,13 @@ TEST(EtcsExplainCli, GenInfeasibleCorpusGetsACertifiedExplanation) {
 /// Removed solve modes fail loudly: a script that still passes one gets the
 /// usage message and exit 2 instead of a run in another mode.
 TEST(EtcsCli, RemovedSolveModeFlagIsAUsageError) {
-    const auto result = run(kEtcsCli + " verify " + kData + "/quickstart.rail " + kData +
-                            "/quickstart.sched --rs 500 --rt 30 --cegar");
-    EXPECT_EQ(result.exitCode, 2) << result.output;
-    EXPECT_NE(result.output.find("usage: etcs_cli"), std::string::npos) << result.output;
+    for (const char* flag : {"--cegar", "--unroll"}) {
+        SCOPED_TRACE(flag);
+        const auto result = run(kEtcsCli + " verify " + kData + "/quickstart.rail " + kData +
+                                "/quickstart.sched --rs 500 --rt 30 " + flag);
+        EXPECT_EQ(result.exitCode, 2) << result.output;
+        EXPECT_NE(result.output.find("usage: etcs_cli"), std::string::npos) << result.output;
+    }
 }
 
 TEST(SatSolveCli, RemovedSolveModeFlagsAreUsageErrors) {

@@ -138,7 +138,8 @@ void expectEntriesAreCoreSubset(const ExplainResult& result) {
 
 TEST(Explain, FeasibleInstanceNeedsNoExplanation) {
     CorridorWorld w;
-    const Instance instance(w.network, w.trains, w.schedule(6), kRes);
+    const rail::Schedule schedule = w.schedule(6);
+    const Instance instance(w.network, w.trains, schedule, kRes);
     const ExplainResult result = explainInfeasibility(instance, nullptr);
     EXPECT_TRUE(result.feasible);
     EXPECT_FALSE(result.unsat);
@@ -149,7 +150,8 @@ TEST(Explain, FeasibleInstanceNeedsNoExplanation) {
 
 TEST(Explain, InfeasibleCorridorIsCertifiedAndCited) {
     CorridorWorld w;
-    const Instance instance(w.network, w.trains, w.schedule(2), kRes);
+    const rail::Schedule schedule = w.schedule(2);
+    const Instance instance(w.network, w.trains, schedule, kRes);
     const VssLayout pure(instance.graph());
     const ExplainResult result = explainInfeasibility(instance, &pure);
 
@@ -183,7 +185,8 @@ TEST(Explain, HeadOnMeetCitesOnlyCoreRecords) {
 
 TEST(Explain, ReportsAreDeterministic) {
     CorridorWorld w;
-    const Instance instance(w.network, w.trains, w.schedule(2), kRes);
+    const rail::Schedule schedule = w.schedule(2);
+    const Instance instance(w.network, w.trains, schedule, kRes);
     const VssLayout pure(instance.graph());
 
     const ExplainResult first = explainInfeasibility(instance, &pure);
@@ -195,7 +198,8 @@ TEST(Explain, ReportsAreDeterministic) {
 
 TEST(Explain, JsonReportParsesAndMatchesTheResult) {
     CorridorWorld w;
-    const Instance instance(w.network, w.trains, w.schedule(2), kRes);
+    const rail::Schedule schedule = w.schedule(2);
+    const Instance instance(w.network, w.trains, schedule, kRes);
     const VssLayout pure(instance.graph());
     const ExplainResult result = explainInfeasibility(instance, &pure);
 
@@ -310,7 +314,8 @@ TEST(Explain, PruningPreservesTheDiagnosis) {
 
     {
         CorridorWorld w;
-        const Instance instance(w.network, w.trains, w.schedule(2), kRes);
+        const rail::Schedule schedule = w.schedule(2);
+        const Instance instance(w.network, w.trains, schedule, kRes);
         const VssLayout pure(instance.graph());
         const ExplainResult pruned = explainInfeasibility(instance, &pure);
         const ExplainResult full = explainInfeasibility(instance, &pure, unpruned);

@@ -18,10 +18,7 @@
 ///     built in) Z3 must agree on every verdict;
 ///   * pruned vs. unpruned: the reachability-pruned encoding (the default;
 ///     certifyUnsat also DRAT-checks its refutations) must agree with the
-///     full encoding on every verdict, and both witnesses must validate;
-///   * unrolled vs. monolithic: BMC-style horizon unrolling
-///     (docs/UNROLLING.md) must reach the reference verdict with a
-///     validating witness.
+///     full encoding on every verdict, and both witnesses must validate.
 ///
 /// Reproduce a failure with ETCS_TEST_SEED=N or --seed=N (see
 /// support/test_seed.hpp); the per-scenario SCOPED_TRACE names the instance.
@@ -184,23 +181,6 @@ TEST(GenFuzz, DifferentialBattery) {
                         EXPECT_TRUE(verdict.feasible)
                             << "simulation found a witness but the solver says UNSAT";
                     }
-                }
-
-                // Unrolling agreement: the prefix loop must reach the
-                // reference verdict with a validating witness.
-                etcs::core::TaskOptions unrolled;
-                unrolled.lintInstance = false;
-                unrolled.unroll = true;
-                const auto unrolledVerdict =
-                    etcs::core::verifySchedule(instance, finest, unrolled);
-                EXPECT_EQ(unrolledVerdict.feasible, verdict.feasible)
-                    << "unrolled and monolithic encodings disagree";
-                if (unrolledVerdict.feasible) {
-                    ASSERT_TRUE(unrolledVerdict.solution.has_value());
-                    EXPECT_TRUE(
-                        etcs::core::validateSolution(instance, *unrolledVerdict.solution)
-                            .empty())
-                        << "unrolled witness fails the solution validator";
                 }
 
                 // Backend agreement.

@@ -138,6 +138,10 @@ TEST_F(RunningFixture, TracedTaskRunEmitsPipelineSpans) {
     EXPECT_NE(text.find("\"encode\""), std::string::npos);
     EXPECT_NE(text.find("\"sat.solve\""), std::string::npos);
     EXPECT_NE(text.find("\"encode.done\""), std::string::npos);
+    // Reach once: the encoder prunes with the gate's table instead of
+    // running the fixpoint again.
+    EXPECT_NE(text.find("\"gate.reach\""), std::string::npos);
+    EXPECT_EQ(text.find("\"encode.reach\""), std::string::npos);
 
     auto count = [&text](const std::string& needle) {
         std::size_t n = 0;

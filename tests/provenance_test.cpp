@@ -150,7 +150,8 @@ struct CorridorWorld {
 
 TEST(EncoderProvenance, DisabledByDefault) {
     CorridorWorld w;
-    const Instance instance(w.network, w.trains, w.schedule(0, 6), kRes);
+    const rail::Schedule schedule = w.schedule(0, 6);
+    const Instance instance(w.network, w.trains, schedule, kRes);
     cnf::CollectingBackend backend;
     Encoder encoder(backend, instance);
     encoder.encode(nullptr);
@@ -159,7 +160,8 @@ TEST(EncoderProvenance, DisabledByDefault) {
 
 TEST(EncoderProvenance, EveryClauseHasAtMostOneSpan) {
     CorridorWorld w;
-    const Instance instance(w.network, w.trains, w.schedule(0, 6), kRes);
+    const rail::Schedule schedule = w.schedule(0, 6);
+    const Instance instance(w.network, w.trains, schedule, kRes);
 
     cnf::CollectingBackend backend;
     EncoderOptions options;
@@ -194,7 +196,8 @@ TEST(EncoderProvenance, EveryClauseHasAtMostOneSpan) {
 
 TEST(EncoderProvenance, RecordsPerEntityMetrics) {
     CorridorWorld w;
-    const Instance instance(w.network, w.trains, w.schedule(0, 6), kRes);
+    const rail::Schedule schedule = w.schedule(0, 6);
+    const Instance instance(w.network, w.trains, schedule, kRes);
 
     auto& registry = obs::Registry::global();
     const auto spansBefore = registry.counter("etcs.provenance.spans").value();
@@ -241,7 +244,8 @@ TEST(EncoderProvenance, CertifiedCoreClausesMapToExactlyOneRecord) {
     CorridorWorld w;
     // 120 km/h = 2 segments/step over distance 5 needs 3 steps; pinning the
     // arrival at step 2 is provably infeasible (same as fixtures/).
-    const Instance instance(w.network, w.trains, w.schedule(0, 2), kRes);
+    const rail::Schedule schedule = w.schedule(0, 2);
+    const Instance instance(w.network, w.trains, schedule, kRes);
 
     cnf::CollectingBackend backend;
     EncoderOptions options;

@@ -340,8 +340,8 @@ void expectSimulationInsideWindows(const core::Instance& instance) {
 TEST(Reach, SimulatedTrajectoriesStayInsideTheWindows) {
     {
         LineWorld w;
-        const core::Instance instance(w.network, w.trains,
-                                      w.schedule("StA", "StB", 0, 4), kRes);
+        const Schedule schedule = w.schedule("StA", "StB", 0, 4);
+        const core::Instance instance(w.network, w.trains, schedule, kRes);
         expectSimulationInsideWindows(instance);
     }
     // Feasible-kind generated scenarios complete by construction (their
@@ -393,8 +393,8 @@ TEST(Reach, ProvablyInfeasibleInstanceStaysUnsatWhenPruned) {
     // The dangerous corner: the analysis empties the destination pin, so
     // the pruned encoding must still produce falsum — never a model.
     LineWorld w;
-    const core::Instance instance(w.network, w.trains, w.schedule("StA", "StB", 0, 2),
-                                  kRes);
+    const Schedule schedule = w.schedule("StA", "StB", 0, 2);
+    const core::Instance instance(w.network, w.trains, schedule, kRes);
     const core::PruneTable table(instance);
     EXPECT_TRUE(table.provablyInfeasible());
 

@@ -1,6 +1,8 @@
 // Train roster, schedule, and discretized-instance tests.
 #include <gtest/gtest.h>
 
+#include <type_traits>
+
 #include "core/instance.hpp"
 #include "railway/schedule.hpp"
 #include "railway/train.hpp"
@@ -90,6 +92,23 @@ TEST(Instance, DiscretizesRunningExample) {
     EXPECT_EQ(instance.runs()[3].speedSegments, 3);                // 180 km/h
     EXPECT_EQ(*instance.runs()[3].destination().arrivalStep, 10);  // 0:05
 }
+
+// An Instance keeps pointers to its network, trains and schedule, so none of
+// them may be a temporary, const or not, alone or together.
+using core::Instance;
+using rail::Network;
+static_assert(std::is_constructible_v<Instance, const Network&, const TrainSet&,
+                                      const Schedule&, Resolution>);
+static_assert(std::is_constructible_v<Instance, Network&, TrainSet&, Schedule&, Resolution>);
+static_assert(!std::is_constructible_v<Instance, Network, const TrainSet&, const Schedule&,
+                                       Resolution>);
+static_assert(!std::is_constructible_v<Instance, const Network&, TrainSet, const Schedule&,
+                                       Resolution>);
+static_assert(!std::is_constructible_v<Instance, const Network&, const TrainSet&, Schedule,
+                                       Resolution>);
+static_assert(!std::is_constructible_v<Instance, const Network, const TrainSet&,
+                                       const Schedule&, Resolution>);
+static_assert(!std::is_constructible_v<Instance, Network, TrainSet, Schedule, Resolution>);
 
 TEST(Instance, SegmentDistanceIsSymmetricAndTriangular) {
     const auto study = studies::runningExample();

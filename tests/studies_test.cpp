@@ -123,59 +123,6 @@ TEST(Studies, TableISolveCallBudget) {
     }
 }
 
-/// With TaskOptions::unroll, the prefix loop keeps every Table I answer
-/// within a solve-call budget (verify 1/1/1/3, generate -/-/-/8, optimize
-/// 10/19/8/8). The loop never solves at the full horizon itself, and a timed
-/// schedule starts there unless a pinned stop ends early enough, so
-/// generation on the first three studies makes exactly the default path's
-/// calls.
-TEST(Studies, UnrolledTableIKeepsAnswersAndCalls) {
-    struct Row {
-        studies::CaseStudy (*make)();
-        int generateSections;
-        int optimizeSteps;
-        int optimizeSections;
-        std::uint64_t verifyBudget;
-        std::uint64_t generateBudget;  ///< 0: exactly the default path's calls
-        std::uint64_t optimizeBudget;
-    };
-    const Row rows[] = {
-        {studies::runningExample, 5, 9, 5, 1, 0, 10},
-        {studies::simpleLayout, 12, 17, 11, 1, 0, 19},
-        {studies::complexLayout, 23, 15, 22, 1, 0, 8},
-        {studies::nordlandsbanen, 52, 41, 52, 3, 8, 8},
-    };
-    TaskOptions unroll;
-    unroll.unroll = true;
-    for (const Row& row : rows) {
-        const auto study = row.make();
-        SCOPED_TRACE(study.name);
-        const Instance timed(study.network, study.trains, study.timedSchedule, study.resolution);
-        const auto verification = verifySchedule(timed, VssLayout(timed.graph()), unroll);
-        EXPECT_FALSE(verification.feasible);
-        EXPECT_LE(verification.stats.solveCalls, row.verifyBudget);
-
-        const auto generation = generateLayout(timed, unroll);
-        ASSERT_TRUE(generation.feasible);
-        EXPECT_EQ(generation.sectionCount, row.generateSections);
-        EXPECT_TRUE(validateSolution(timed, *generation.solution).empty());
-        if (row.generateBudget == 0) {
-            EXPECT_EQ(generation.stats.unrollStartHorizon, timed.horizonSteps());
-            EXPECT_EQ(generation.stats.solveCalls, generateLayout(timed).stats.solveCalls);
-        } else {
-            EXPECT_LE(generation.stats.solveCalls, row.generateBudget);
-        }
-
-        const Instance open(study.network, study.trains, study.openSchedule, study.resolution);
-        const auto optimization = optimizeSchedule(open, unroll);
-        ASSERT_TRUE(optimization.feasible);
-        EXPECT_EQ(optimization.completionSteps, row.optimizeSteps);
-        EXPECT_EQ(optimization.sectionCount, row.optimizeSections);
-        EXPECT_TRUE(validateSolution(open, *optimization.solution).empty());
-        EXPECT_LE(optimization.stats.solveCalls, row.optimizeBudget);
-    }
-}
-
 TEST(Studies, NordlandsbanenHas58StationsAnd822Km) {
     const auto study = studies::nordlandsbanen();
     int numberedHalts = 0;
@@ -190,9 +137,9 @@ TEST(Studies, NordlandsbanenHas58StationsAnd822Km) {
 }
 
 TEST(Studies, HorizonsMatchThePaper) {
-    EXPECT_EQ(Instance(studies::runningExample().network, studies::runningExample().trains,
-                       studies::runningExample().timedSchedule,
-                       studies::runningExample().resolution)
+    const auto running = studies::runningExample();
+    EXPECT_EQ(Instance(running.network, running.trains, running.timedSchedule,
+                       running.resolution)
                   .horizonSteps(),
               11);
     const auto nordland = studies::nordlandsbanen();

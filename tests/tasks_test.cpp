@@ -10,6 +10,7 @@
 
 #include "core/tasks.hpp"
 #include "core/validator.hpp"
+#include "obs/metrics.hpp"
 #include "studies/studies.hpp"
 #include "support/cancelling_backend.hpp"
 
@@ -160,18 +161,51 @@ TEST_F(RunningFixture, OptimizationInfeasibleOnTooShortHorizon) {
     EXPECT_FALSE(result.feasible);
 }
 
+/// A horizon shorter than any possible completion is its own verdict — no
+/// encode, no solver call, and the lower bound that a retry must beat is
+/// reported.
+TEST_F(RunningFixture, OptimizeReportsHorizonTooShort) {
+    rail::Schedule shortened = study.openSchedule;
+    shortened.setHorizon(study.resolution.temporal +
+                         study.resolution.temporal);  // two steps: nobody finishes
+    const Instance instance(study.network, study.trains, shortened, study.resolution);
+    // The schedule lints reject this horizon first (as infeasible); the
+    // verdict is the optimize task's own check.
+    TaskOptions options;
+    options.lintInstance = false;
+    auto& tooShort = obs::Registry::global().counter("etcs.task.optimize.horizon_too_short");
+    const auto before = tooShort.value();
+    const auto result = optimizeSchedule(instance, options);
+    EXPECT_FALSE(result.feasible);
+    EXPECT_EQ(result.verdict, OptimizeVerdict::HorizonTooShort);
+    EXPECT_EQ(toString(result.verdict), "horizon_too_short");
+    EXPECT_GT(result.completionLowerBound, instance.horizonSteps() - 1);
+    EXPECT_EQ(result.stats.solveCalls, 0U);
+    EXPECT_EQ(result.stats.numClauses, 0U) << "rejection must not encode";
+    EXPECT_EQ(tooShort.value(), before + 1);
+}
+
+/// A feasible optimization must NOT be classified as HorizonTooShort.
+TEST_F(RunningFixture, FeasibleOptimizationReportsFeasibleVerdict) {
+    const auto result = optimizeSchedule(open);
+    ASSERT_TRUE(result.feasible);
+    EXPECT_EQ(result.verdict, OptimizeVerdict::Feasible);
+    EXPECT_EQ(toString(result.verdict), "feasible");
+    EXPECT_LE(result.completionLowerBound, result.completionSteps);
+}
+
 TEST_F(RunningFixture, StatsRuntimeIsPopulated) {
     const auto result = generateLayout(timed);
     EXPECT_GT(result.stats.runtimeSeconds, 0.0);
     EXPECT_GT(result.stats.solveCalls, 0u);
 }
 
-/// Regression: a cancelled solve anywhere in a task — the prefix loop, the
-/// completion search, the border minimization or its re-solve — ends the
-/// task with no solution instead of a thrown PreconditionError. Cancels at
-/// every solve call an uncancelled run makes, on the default path and the
-/// unrolled one: generation on the complex layout, optimization on the
-/// running example (whose completion search and border pass are cheaper).
+/// Regression: a cancelled solve anywhere in a task — the completion
+/// search, the border minimization or its re-solve — ends the task with no
+/// solution instead of a thrown PreconditionError. Cancels at every solve
+/// call an uncancelled run makes: generation on the complex layout,
+/// optimization on the running example (whose completion search and border
+/// pass are cheaper).
 TEST(Tasks, CancellationAtAnySolveReturnsNoSolution) {
     const studies::CaseStudy complex = studies::complexLayout();
     const Instance timed(complex.network, complex.trains, complex.timedSchedule,
@@ -179,44 +213,40 @@ TEST(Tasks, CancellationAtAnySolveReturnsNoSolution) {
     const studies::CaseStudy running = studies::runningExample();
     const Instance open(running.network, running.trains, running.openSchedule,
                         running.resolution);
-    for (const bool unroll : {false, true}) {
-        for (const bool optimize : {false, true}) {
-            SCOPED_TRACE(std::string(optimize ? "optimize" : "generate") +
-                         (unroll ? ", unrolled" : ""));
-            // Runs the task with solves cancelled from `cancelFrom` on;
-            // returns (feasible, solve calls made).
-            const auto run = [&](std::uint64_t cancelFrom) {
-                std::uint64_t solves = 0;
-                TaskOptions options;
-                options.unroll = unroll;
-                options.backendFactory = [cancelFrom, &solves] {
-                    return std::make_unique<test::CancellingBackend>(cancelFrom, solves);
-                };
-                std::optional<Solution> solution;
-                bool feasible = false;
-                if (optimize) {
-                    auto result = optimizeSchedule(open, options);
-                    feasible = result.feasible;
-                    solution = std::move(result.solution);
-                    EXPECT_EQ(result.completionSteps, feasible ? 9 : 0);
-                } else {
-                    auto result = generateLayout(timed, options);
-                    feasible = result.feasible;
-                    solution = std::move(result.solution);
-                }
-                EXPECT_EQ(solution.has_value(), feasible);
-                return std::pair{feasible, solves};
+    for (const bool optimize : {false, true}) {
+        SCOPED_TRACE(optimize ? "optimize" : "generate");
+        // Runs the task with solves cancelled from `cancelFrom` on; returns
+        // (feasible, solve calls made).
+        const auto run = [&](std::uint64_t cancelFrom) {
+            std::uint64_t solves = 0;
+            TaskOptions options;
+            options.backendFactory = [cancelFrom, &solves] {
+                return std::make_unique<test::CancellingBackend>(cancelFrom, solves);
             };
-            const auto [feasible, calls] = run(UINT64_MAX);
-            ASSERT_TRUE(feasible);
-            ASSERT_GE(calls, 2U);
-            for (std::uint64_t cancelFrom = 1; cancelFrom <= calls; ++cancelFrom) {
-                SCOPED_TRACE("cancelled from solve " + std::to_string(cancelFrom));
-                std::pair<bool, std::uint64_t> cancelled{true, 0};
-                EXPECT_NO_THROW(cancelled = run(cancelFrom));
-                EXPECT_FALSE(cancelled.first);
-                EXPECT_EQ(cancelled.second, cancelFrom) << "the task kept solving";
+            std::optional<Solution> solution;
+            bool feasible = false;
+            if (optimize) {
+                auto result = optimizeSchedule(open, options);
+                feasible = result.feasible;
+                solution = std::move(result.solution);
+                EXPECT_EQ(result.completionSteps, feasible ? 9 : 0);
+            } else {
+                auto result = generateLayout(timed, options);
+                feasible = result.feasible;
+                solution = std::move(result.solution);
             }
+            EXPECT_EQ(solution.has_value(), feasible);
+            return std::pair{feasible, solves};
+        };
+        const auto [feasible, calls] = run(UINT64_MAX);
+        ASSERT_TRUE(feasible);
+        ASSERT_GE(calls, 2U);
+        for (std::uint64_t cancelFrom = 1; cancelFrom <= calls; ++cancelFrom) {
+            SCOPED_TRACE("cancelled from solve " + std::to_string(cancelFrom));
+            std::pair<bool, std::uint64_t> cancelled{true, 0};
+            EXPECT_NO_THROW(cancelled = run(cancelFrom));
+            EXPECT_FALSE(cancelled.first);
+            EXPECT_EQ(cancelled.second, cancelFrom) << "the task kept solving";
         }
     }
 }
