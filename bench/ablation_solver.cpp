@@ -8,7 +8,6 @@
 #include "cnf/collect.hpp"
 #include "sat/preprocess.hpp"
 #include "core/encoder.hpp"
-#include "core/tasks.hpp"
 #include "core/instance.hpp"
 #include "sat/solver.hpp"
 #include "studies/studies.hpp"
@@ -108,29 +107,6 @@ void BM_SolverFeaturesOnPigeonhole(benchmark::State& state) {
     state.SetLabel(features.label);
 }
 BENCHMARK(BM_SolverFeaturesOnPigeonhole)->DenseRange(0, 3)->Unit(benchmark::kMillisecond);
-
-/// Reachability-cone pruning (DESIGN.md §3): formula size and solve time
-/// with and without the cones, on the running example's generation task.
-void BM_ConePruning(benchmark::State& state) {
-    const bool prune = state.range(0) != 0;
-    const auto study = studies::runningExample();
-    const core::Instance instance(study.network, study.trains, study.timedSchedule,
-                                  study.resolution);
-    core::TaskOptions options;
-    options.encoder.pruneWithCones = prune;
-    int vars = 0;
-    for (auto _ : state) {
-        const auto result = core::generateLayout(instance, options);
-        benchmark::DoNotOptimize(result.feasible);
-        vars = result.stats.numVariables;
-        if (!result.feasible) {
-            state.SkipWithError("generation unexpectedly infeasible");
-        }
-    }
-    state.SetLabel(prune ? "cones" : "no-cones");
-    state.counters["vars"] = vars;
-}
-BENCHMARK(BM_ConePruning)->Arg(1)->Arg(0)->Unit(benchmark::kMillisecond);
 
 /// Preprocessing the ETCS formula before solving: measure the end-to-end
 /// effect (simplification cost + solve on the reduced instance).

@@ -1,120 +1,44 @@
 #include "cnf/amo.hpp"
 
-#include <cmath>
 #include <vector>
 
 #include "util/error.hpp"
 
 namespace etcs::cnf {
 
-namespace {
-
-void addPairwise(SatBackend& backend, std::span<const Literal> lits) {
-    for (std::size_t i = 0; i < lits.size(); ++i) {
-        for (std::size_t j = i + 1; j < lits.size(); ++j) {
-            backend.addClause({~lits[i], ~lits[j]});
+void addPairwiseAtMostOne(SatBackend& backend, std::span<const Literal> literals) {
+    for (std::size_t i = 0; i < literals.size(); ++i) {
+        for (std::size_t j = i + 1; j < literals.size(); ++j) {
+            backend.addClause({~literals[i], ~literals[j]});
         }
     }
 }
 
-/// Sinz sequential encoding: s_i means "one of lits[0..i] is true".
-void addSequential(SatBackend& backend, std::span<const Literal> lits) {
-    const std::size_t n = lits.size();
+void addAtMostOne(SatBackend& backend, std::span<const Literal> literals) {
+    const std::size_t n = literals.size();
     if (n <= 3) {
-        addPairwise(backend, lits);
+        addPairwiseAtMostOne(backend, literals);
         return;
     }
+    // Sinz sequential encoding: s_i means "one of literals[0..i] is true".
     std::vector<Literal> s;
     s.reserve(n - 1);
     for (std::size_t i = 0; i + 1 < n; ++i) {
         s.push_back(Literal::positive(backend.addVariable()));
     }
-    backend.addClause({~lits[0], s[0]});
+    backend.addClause({~literals[0], s[0]});
     for (std::size_t i = 1; i + 1 < n; ++i) {
-        backend.addClause({~lits[i], s[i]});
+        backend.addClause({~literals[i], s[i]});
         backend.addClause({~s[i - 1], s[i]});
-        backend.addClause({~lits[i], ~s[i - 1]});
+        backend.addClause({~literals[i], ~s[i - 1]});
     }
-    backend.addClause({~lits[n - 1], ~s[n - 2]});
+    backend.addClause({~literals[n - 1], ~s[n - 2]});
 }
 
-/// Commander encoding with group size 3; recursively constrains commanders.
-void addCommander(SatBackend& backend, std::span<const Literal> lits) {
-    constexpr std::size_t kGroup = 3;
-    if (lits.size() <= kGroup + 1) {
-        addPairwise(backend, lits);
-        return;
-    }
-    std::vector<Literal> commanders;
-    for (std::size_t begin = 0; begin < lits.size(); begin += kGroup) {
-        const std::size_t end = std::min(begin + kGroup, lits.size());
-        const auto group = lits.subspan(begin, end - begin);
-        addPairwise(backend, group);
-        const Literal commander = Literal::positive(backend.addVariable());
-        for (Literal l : group) {
-            backend.addClause({~l, commander});  // member -> commander
-        }
-        commanders.push_back(commander);
-    }
-    addCommander(backend, commanders);
-}
-
-/// Product encoding: lay literals on a rows x columns grid and constrain the
-/// row/column indicator vectors instead.
-void addProduct(SatBackend& backend, std::span<const Literal> lits) {
-    const std::size_t n = lits.size();
-    if (n <= 4) {
-        addPairwise(backend, lits);
-        return;
-    }
-    const auto rows = static_cast<std::size_t>(std::ceil(std::sqrt(static_cast<double>(n))));
-    const std::size_t cols = (n + rows - 1) / rows;
-    std::vector<Literal> rowVars;
-    std::vector<Literal> colVars;
-    rowVars.reserve(rows);
-    colVars.reserve(cols);
-    for (std::size_t r = 0; r < rows; ++r) {
-        rowVars.push_back(Literal::positive(backend.addVariable()));
-    }
-    for (std::size_t c = 0; c < cols; ++c) {
-        colVars.push_back(Literal::positive(backend.addVariable()));
-    }
-    for (std::size_t i = 0; i < n; ++i) {
-        backend.addClause({~lits[i], rowVars[i / cols]});
-        backend.addClause({~lits[i], colVars[i % cols]});
-    }
-    addProduct(backend, rowVars);
-    addProduct(backend, colVars);
-}
-
-}  // namespace
-
-std::string_view toString(AmoEncoding encoding) {
-    switch (encoding) {
-        case AmoEncoding::Pairwise: return "pairwise";
-        case AmoEncoding::Sequential: return "sequential";
-        case AmoEncoding::Commander: return "commander";
-        case AmoEncoding::Product: return "product";
-    }
-    return "unknown";
-}
-
-void addAtMostOne(SatBackend& backend, std::span<const Literal> literals, AmoEncoding encoding) {
-    if (literals.size() <= 1) {
-        return;
-    }
-    switch (encoding) {
-        case AmoEncoding::Pairwise: addPairwise(backend, literals); break;
-        case AmoEncoding::Sequential: addSequential(backend, literals); break;
-        case AmoEncoding::Commander: addCommander(backend, literals); break;
-        case AmoEncoding::Product: addProduct(backend, literals); break;
-    }
-}
-
-void addExactlyOne(SatBackend& backend, std::span<const Literal> literals, AmoEncoding encoding) {
+void addExactlyOne(SatBackend& backend, std::span<const Literal> literals) {
     ETCS_REQUIRE_MSG(!literals.empty(), "exactly-one over an empty set is unsatisfiable");
     backend.addClause(literals);
-    addAtMostOne(backend, literals, encoding);
+    addAtMostOne(backend, literals);
 }
 
 }  // namespace etcs::cnf

@@ -1,33 +1,27 @@
 /// \file amo.hpp
-/// At-most-one and exactly-one constraint encodings.
+/// At-most-one and exactly-one constraints, as used on the encoder's
+/// chain-selector groups (paper's C1 occupancy).
 ///
-/// Several encodings are provided because their clause/auxiliary-variable
-/// trade-offs differ; `bench/ablation_encodings` compares them on the ETCS
-/// chain-selector groups where they are used.
+/// Groups of up to three literals get the pairwise encoding (no auxiliaries);
+/// larger groups get Sinz's sequential encoding: n - 1 auxiliaries and 3n - 4
+/// clauses.
 #pragma once
 
 #include <span>
-#include <string_view>
 
 #include "cnf/backend.hpp"
 
 namespace etcs::cnf {
 
-enum class AmoEncoding {
-    Pairwise,    ///< O(n^2) clauses, no auxiliaries; best for tiny groups.
-    Sequential,  ///< Sinz commander chain: 3n clauses, n auxiliaries.
-    Commander,   ///< recursive group commanders (group size 3).
-    Product,     ///< 2D product encoding (rows x columns).
-};
-
-[[nodiscard]] std::string_view toString(AmoEncoding encoding);
+/// Add the pairwise at-most-one encoding of `literals`: one binary clause per
+/// pair, no auxiliary variables. `addAtMostOne` uses it for groups of up to
+/// three literals.
+void addPairwiseAtMostOne(SatBackend& backend, std::span<const Literal> literals);
 
 /// Add clauses enforcing that at most one of `literals` is true.
-void addAtMostOne(SatBackend& backend, std::span<const Literal> literals,
-                  AmoEncoding encoding = AmoEncoding::Sequential);
+void addAtMostOne(SatBackend& backend, std::span<const Literal> literals);
 
 /// Add clauses enforcing that exactly one of `literals` is true.
-void addExactlyOne(SatBackend& backend, std::span<const Literal> literals,
-                   AmoEncoding encoding = AmoEncoding::Sequential);
+void addExactlyOne(SatBackend& backend, std::span<const Literal> literals);
 
 }  // namespace etcs::cnf

@@ -75,38 +75,4 @@ Totalizer::Totalizer(SatBackend& backend, std::span<const Literal> inputs) {
     outputs_ = buildTree(backend, inputs);
 }
 
-void addAtMostK(SatBackend& backend, std::span<const Literal> literals, std::size_t k) {
-    const std::size_t n = literals.size();
-    if (k >= n) {
-        return;  // trivially satisfied
-    }
-    if (k == 0) {
-        for (Literal l : literals) {
-            backend.addUnit(~l);
-        }
-        return;
-    }
-    // Sinz LTn,k: registers s[i][j] ("at least j+1 of the first i+1 literals").
-    std::vector<std::vector<Literal>> s(n - 1, std::vector<Literal>(k));
-    for (auto& row : s) {
-        for (auto& lit : row) {
-            lit = Literal::positive(backend.addVariable());
-        }
-    }
-    backend.addClause({~literals[0], s[0][0]});
-    for (std::size_t j = 1; j < k; ++j) {
-        backend.addUnit(~s[0][j]);
-    }
-    for (std::size_t i = 1; i + 1 < n; ++i) {
-        backend.addClause({~literals[i], s[i][0]});
-        backend.addClause({~s[i - 1][0], s[i][0]});
-        for (std::size_t j = 1; j < k; ++j) {
-            backend.addClause({~literals[i], ~s[i - 1][j - 1], s[i][j]});
-            backend.addClause({~s[i - 1][j], s[i][j]});
-        }
-        backend.addClause({~literals[i], ~s[i - 1][k - 1]});
-    }
-    backend.addClause({~literals[n - 1], ~s[n - 2][k - 1]});
-}
-
 }  // namespace etcs::cnf

@@ -1,5 +1,5 @@
 /// \file cardinality.hpp
-/// Cardinality constraints: totalizer and sequential-counter encodings.
+/// Cardinality constraints: the totalizer encoding.
 ///
 /// The Totalizer is the workhorse of the optimization engine: its monotone
 /// output literals let the MaxSAT search tighten "at most k" bounds purely
@@ -49,10 +49,5 @@ public:
 private:
     std::vector<Literal> outputs_;
 };
-
-/// Sinz sequential-counter "at most k" encoding (LTn,k). One-shot: the bound
-/// is baked into the clauses. Provided as an ablation alternative to the
-/// totalizer.
-void addAtMostK(SatBackend& backend, std::span<const Literal> literals, std::size_t k);
 
 }  // namespace etcs::cnf

@@ -9,8 +9,10 @@
 ///    survive?": per train and delay, whether the schedule remains
 ///    realizable on a fixed layout. Verification "covering all
 ///    possibilities" is the paper's stated motivation (footnote 4).
-///  * generateLayoutWeighted — generation with per-border installation
-///    costs instead of plain border counting.
+///  * scheduleSlack     — how far each arrival deadline could be tightened.
+///
+/// The single-solve task variants (cost-weighted generation, per-train
+/// arrival optimization) live with the base tasks in core/tasks.hpp.
 #pragma once
 
 #include <vector>
@@ -55,13 +57,6 @@ struct RobustnessReport {
                                                bool shiftArrivals = true,
                                                const TaskOptions& options = {});
 
-/// Generation with per-node installation costs: minimize the total cost of
-/// the virtual borders instead of their count. `costOf` is evaluated for
-/// every candidate border node and must return a positive cost.
-[[nodiscard]] GenerationResult generateLayoutWeighted(
-    const Instance& instance, const std::function<int(SegNodeId)>& costOf,
-    const TaskOptions& options = {});
-
 /// Per-run slack of a timed schedule on a fixed layout.
 struct SlackReport {
     /// tightestArrivalStep[r]: smallest arrival step for run r's destination
@@ -78,24 +73,5 @@ struct SlackReport {
 /// to its fastest possible arrival.
 [[nodiscard]] SlackReport scheduleSlack(const Instance& instance, const VssLayout& layout,
                                         const TaskOptions& options = {});
-
-/// Result of the per-train arrival optimization.
-struct IndividualArrivalResult {
-    bool feasible = false;
-    /// doneSteps[r]: earliest step at which run r has left the network,
-    /// after the arrivals of all higher-priority runs were fixed.
-    std::vector<int> doneSteps;
-    std::optional<Solution> solution;
-    TaskStats stats;
-};
-
-/// The paper's alternative objective (Sec. III-C): instead of minimizing the
-/// global completion time, minimize each train's own arrival,
-/// lexicographically in priority order (`priority` lists run indices; empty
-/// = schedule order). Trains earlier in the order get the best possible
-/// arrival; later trains optimize within what remains.
-[[nodiscard]] IndividualArrivalResult optimizeIndividualArrivals(
-    const Instance& instance, std::vector<std::size_t> priority = {},
-    const TaskOptions& options = {});
 
 }  // namespace etcs::core

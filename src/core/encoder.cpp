@@ -4,7 +4,7 @@
 #include <string>
 #include <utility>
 
-#include "cnf/formula.hpp"
+#include "cnf/amo.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
@@ -32,9 +32,6 @@ bool Encoder::inCone(std::size_t run, SegmentId segment, int step) const {
     const DiscreteRun& r = instance_->runs()[run];
     if (step < r.departureStep) {
         return false;
-    }
-    if (!options_.pruneWithCones) {
-        return true;
     }
     const int slack = r.lengthSegments - 1;
     const int fromOrigin = instance_->segmentDistance(r.originSegment, segment);
@@ -295,7 +292,7 @@ void Encoder::encodeChainOccupancy(std::size_t run) {
         }
         // Exactly one option: the train occupies exactly one chain, or it has
         // left the network (paper's C1 with explicit presence handling).
-        cnf::addExactlyOne(*backend_, options, options_.amoEncoding);
+        cnf::addExactlyOne(*backend_, options);
     }
     tagEnd();
 }
@@ -678,13 +675,7 @@ Literal Encoder::doneAllLiteral(int step) {
 }
 
 int Encoder::completionLowerBound() const {
-    int bound = 1;
-    for (const DiscreteRun& r : instance_->runs()) {
-        const int travel = instance_->segmentDistance(r.originSegment, r.destination().segment);
-        const int steps = (travel + r.speedSegments - 1) / r.speedSegments;
-        bound = std::max(bound, r.departureStep + steps + 1);
-    }
-    return bound;
+    return instance_->completionLowerBound();
 }
 
 Solution Encoder::decode() const {

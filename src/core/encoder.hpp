@@ -28,7 +28,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "cnf/amo.hpp"
 #include "cnf/backend.hpp"
 #include "core/instance.hpp"
 #include "core/layout.hpp"
@@ -41,9 +40,7 @@ using cnf::Literal;
 using cnf::SatBackend;
 
 struct EncoderOptions {
-    cnf::AmoEncoding amoEncoding = cnf::AmoEncoding::Sequential;
-    bool pruneWithCones = true;       ///< restrict occupies vars to reachability cones
-    bool pruneUnreachable = true;     ///< additionally drop cells the fixpoint
+    bool pruneUnreachable = true;     ///< drop the cone cells the fixpoint
                                       ///< reachability analysis excludes
                                       ///< (lint/reach.hpp, docs/REACHABILITY.md);
                                       ///< verdict- and objective-preserving
@@ -101,8 +98,8 @@ public:
     /// must lie inside the horizon.
     [[nodiscard]] Literal doneAllLiteral(int step);
 
-    /// Earliest step at which all runs could possibly be done (lower bound
-    /// for the completion-time search).
+    /// Instance::completionLowerBound, the completion-time search's lower
+    /// bound.
     [[nodiscard]] int completionLowerBound() const;
 
     /// Decode the backend's current model into a Solution.

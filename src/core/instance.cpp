@@ -1,5 +1,6 @@
 #include "core/instance.hpp"
 
+#include <algorithm>
 #include <deque>
 
 namespace etcs::core {
@@ -88,6 +89,20 @@ Instance::Instance(const Network& network, const TrainSet& trains, const Schedul
 
 int Instance::segmentDistance(SegmentId a, SegmentId b) const {
     return distance_[a.get() * graph_->numSegments() + b.get()];
+}
+
+int Instance::earliestArrivalStep(std::size_t run) const {
+    const DiscreteRun& r = runs_.at(run);
+    const int travel = segmentDistance(r.originSegment, r.destination().segment);
+    return r.departureStep + (travel + r.speedSegments - 1) / r.speedSegments;
+}
+
+int Instance::completionLowerBound() const {
+    int bound = 1;
+    for (std::size_t run = 0; run < runs_.size(); ++run) {
+        bound = std::max(bound, earliestArrivalStep(run) + 1);
+    }
+    return bound;
 }
 
 }  // namespace etcs::core

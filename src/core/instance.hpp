@@ -76,6 +76,15 @@ public:
     /// Hop distance between segments, cached (used by the encoder's cones).
     [[nodiscard]] int segmentDistance(SegmentId a, SegmentId b) const;
 
+    /// Earliest step at which run `run` could reach its destination: its
+    /// departure plus its unimpeded travel time.
+    [[nodiscard]] int earliestArrivalStep(std::size_t run) const;
+
+    /// Earliest step at which all runs could possibly be done, each one step
+    /// after its earliest arrival: the lower bound of the completion-time
+    /// search.
+    [[nodiscard]] int completionLowerBound() const;
+
 private:
     const Network* network_;
     const TrainSet* trains_;

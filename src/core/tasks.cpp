@@ -1,6 +1,7 @@
 #include "core/tasks.hpp"
 
 #include <chrono>
+#include <numeric>
 #include <optional>
 #include <string>
 #include <utility>
@@ -212,24 +213,23 @@ OptimizationResult optimizeImpl(const Instance& instance, const VssLayout* fixed
                                 const TaskOptions& options) {
     const obs::Span span("task.optimize");
     OptimizationResult result;
+    // Primary objective: minimize the number of time steps until all trains
+    // have left (paper's min sum !done^t). done^t is monotone, so the optimum
+    // is the smallest step at which the done-all selector can hold.
+    result.completionLowerBound = instance.completionLowerBound();
+    const int hi = instance.horizonSteps() - 1;
+    if (result.completionLowerBound > hi) {
+        // The horizon admits no completion at all — a bound mismatch, not a
+        // proof of infeasibility. Report it distinctly, before the gate
+        // (whose horizon lints would call it infeasible) and without a
+        // formula.
+        result.verdict = OptimizeVerdict::HorizonTooShort;
+        obs::Registry::global().counter("etcs.task.optimize.horizon_too_short").increment();
+        return result;
+    }
     int completionSteps = 0;
     result.solution = runTask(instance, options, "optimize", result.stats, [&](Session& session) {
         Encoder& encoder = session.encoder;
-        // Primary objective: minimize the number of time steps until all
-        // trains have left (paper's min sum !done^t). done^t is monotone, so
-        // the optimum is the smallest step at which the done-all selector
-        // can hold.
-        result.completionLowerBound = encoder.completionLowerBound();
-        const int hi = instance.horizonSteps() - 1;
-        if (result.completionLowerBound > hi) {
-            // The horizon admits no completion at all — a bound mismatch,
-            // not a proof of infeasibility. Report it distinctly (and skip
-            // encoding: no formula is needed to see it).
-            result.verdict = OptimizeVerdict::HorizonTooShort;
-            obs::Registry::global().counter("etcs.task.optimize.horizon_too_short").increment();
-            return false;
-        }
-
         encoder.encode(fixedLayout);
         {
             const obs::Span minimizeSpan("minimize.completion_time");
@@ -269,6 +269,96 @@ OptimizationResult optimizeSchedule(const Instance& instance, const TaskOptions&
 OptimizationResult optimizeScheduleOnLayout(const Instance& instance, const VssLayout& layout,
                                             const TaskOptions& options) {
     return optimizeImpl(instance, &layout, options);
+}
+
+GenerationResult generateLayoutWeighted(const Instance& instance,
+                                        const std::function<int(SegNodeId)>& costOf,
+                                        const TaskOptions& options) {
+    ETCS_REQUIRE_MSG(instance.schedule().fullyTimed(),
+                     "layout generation requires a fully timed schedule");
+    ETCS_REQUIRE_MSG(static_cast<bool>(costOf), "cost function required");
+    // One cost per candidate border node, in the order of
+    // Encoder::freeBorderLiterals.
+    const auto& graph = instance.graph();
+    std::vector<int> weights;
+    for (std::size_t n = 0; n < graph.numNodes(); ++n) {
+        if (!graph.node(SegNodeId(n)).fixedBorder) {
+            weights.push_back(costOf(SegNodeId(n)));
+            ETCS_REQUIRE_MSG(weights.back() > 0, "border costs must be positive");
+        }
+    }
+    const obs::Span span("task.generate_weighted");
+    GenerationResult result;
+    result.solution =
+        runTask(instance, options, "generate_weighted", result.stats, [&](Session& session) {
+            session.encoder.encode(nullptr);
+            const obs::Span minimizeSpan("minimize.borders");
+            const auto minimized = opt::minimizeWeightedTrueLiterals(
+                *session.backend, session.encoder.freeBorderLiterals(), weights,
+                options.borderSearch);
+            result.stats.solveCalls += minimized.solveCalls;
+            return minimized.feasible;
+        });
+    result.feasible = result.solution.has_value();
+    if (result.feasible) {
+        result.sectionCount = result.solution->sectionCount;
+    }
+    return result;
+}
+
+IndividualArrivalResult optimizeIndividualArrivals(const Instance& instance,
+                                                   std::vector<std::size_t> priority,
+                                                   const TaskOptions& options) {
+    if (priority.empty()) {
+        priority.resize(instance.numRuns());
+        std::iota(priority.begin(), priority.end(), std::size_t{0});
+    }
+    ETCS_REQUIRE_MSG(priority.size() == instance.numRuns(),
+                     "priority must list every run exactly once");
+    const obs::Span span("task.individual_arrivals");
+    IndividualArrivalResult result;
+    result.doneSteps.assign(instance.numRuns(), -1);
+    result.solution = runTask(
+        instance, options, "individual_arrivals", result.stats, [&](Session& session) {
+            Encoder& encoder = session.encoder;
+            cnf::SatBackend& backend = *session.backend;
+            encoder.encode(nullptr);
+            const int horizon = instance.horizonSteps();
+            // Every train must still be able to finish within the horizon
+            // while the leaders grab their best arrivals -- otherwise the
+            // greedy lexicographic choice could strand a lower-priority train.
+            const cnf::Literal everyoneFinishes[] = {encoder.doneAllLiteral(horizon - 1)};
+            ++result.stats.solveCalls;
+            if (backend.solve(everyoneFinishes) != cnf::SolveStatus::Sat) {
+                return false;
+            }
+            for (const std::size_t run : priority) {
+                // Earliest conceivable done step: one step after arriving.
+                const int lo = instance.earliestArrivalStep(run) + 1;
+                if (lo > horizon - 1) {
+                    return false;
+                }
+                const auto search = opt::smallestFeasibleIndex(
+                    backend, [&](int step) { return encoder.doneLiteral(run, step); }, lo,
+                    horizon - 1, options.timeSearch, everyoneFinishes);
+                result.stats.solveCalls += search.solveCalls;
+                if (!search.feasible) {
+                    return false;
+                }
+                result.doneSteps[run] = search.index;
+                // Freeze this train's arrival before optimizing the next one.
+                backend.addUnit(encoder.doneLiteral(run, search.index));
+            }
+            // A cancelled solve leaves the task without a solution, like the
+            // other tasks; only UNSAT would contradict the searches above.
+            ++result.stats.solveCalls;
+            const cnf::SolveStatus status = backend.solve();
+            ETCS_REQUIRE_MSG(status != cnf::SolveStatus::Unsat,
+                             "lexicographically fixed instance must stay satisfiable");
+            return status == cnf::SolveStatus::Sat;
+        });
+    result.feasible = result.solution.has_value();
+    return result;
 }
 
 }  // namespace etcs::core

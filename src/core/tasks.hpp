@@ -6,6 +6,10 @@
 ///   3. optimizeSchedule — find layout + schedule minimizing completion time
 ///                         (min sum !done^t), optionally followed by a
 ///                         lexicographic section minimization.
+/// plus variants of tasks 2 and 3 with other objectives: cost-weighted
+/// borders (generateLayoutWeighted) and per-train arrivals in priority order
+/// (optimizeIndividualArrivals). Every task runs one pipeline: the lint/reach
+/// gate, one backend with its Encoder, the objective, then decode.
 #pragma once
 
 #include <cstdint>
@@ -13,6 +17,7 @@
 #include <memory>
 #include <optional>
 #include <string_view>
+#include <vector>
 
 #include "sat/types.hpp"
 
@@ -145,5 +150,31 @@ struct OptimizationResult {
 [[nodiscard]] OptimizationResult optimizeScheduleOnLayout(const Instance& instance,
                                                           const VssLayout& layout,
                                                           const TaskOptions& options = {});
+
+/// Generation with per-node installation costs: minimize the total cost of
+/// the virtual borders instead of their count. `costOf` is evaluated for
+/// every candidate border node and must return a positive cost.
+[[nodiscard]] GenerationResult generateLayoutWeighted(
+    const Instance& instance, const std::function<int(SegNodeId)>& costOf,
+    const TaskOptions& options = {});
+
+/// Result of the per-train arrival optimization.
+struct IndividualArrivalResult {
+    bool feasible = false;
+    /// doneSteps[r]: earliest step at which run r has left the network,
+    /// after the arrivals of all higher-priority runs were fixed.
+    std::vector<int> doneSteps;
+    std::optional<Solution> solution;
+    TaskStats stats;
+};
+
+/// The paper's alternative objective (Sec. III-C): instead of minimizing the
+/// global completion time, minimize each train's own arrival,
+/// lexicographically in priority order (`priority` lists run indices; empty
+/// = schedule order). Trains earlier in the order get the best possible
+/// arrival; later trains optimize within what remains.
+[[nodiscard]] IndividualArrivalResult optimizeIndividualArrivals(
+    const Instance& instance, std::vector<std::size_t> priority = {},
+    const TaskOptions& options = {});
 
 }  // namespace etcs::core

@@ -20,7 +20,6 @@
 #include "cnf/amo.hpp"
 #include "cnf/backend.hpp"
 #include "cnf/cardinality.hpp"
-#include "cnf/formula.hpp"
 
 // Optimization
 #include "opt/minimize.hpp"

@@ -52,7 +52,6 @@ int weightedCount(const SatBackend& backend, std::span<const Literal> lits,
 /// `weights` may be empty (all ones).
 MinimizeResult minimizeImpl(SatBackend& backend, std::span<const Literal> soft,
                             std::span<const int> weights, SearchStrategy strategy,
-                            const std::function<void(int)>& onImproved,
                             std::span<const Literal> alwaysAssume) {
     const obs::Span span("opt.minimize");
     MinimizeResult result;
@@ -72,9 +71,6 @@ MinimizeResult minimizeImpl(SatBackend& backend, std::span<const Literal> soft,
     result.feasible = true;
     int incumbent = weightedCount(backend, soft, weights);
     recordIncumbent(incumbent);
-    if (onImproved) {
-        onImproved(incumbent);
-    }
     if (incumbent == 0) {
         result.optimum = 0;
         return result;
@@ -112,20 +108,6 @@ MinimizeResult minimizeImpl(SatBackend& backend, std::span<const Literal> soft,
         case SearchStrategy::LinearDown: {
             while (incumbent > 0 && solveAtMost(incumbent - 1)) {
                 incumbent = weightedCount(backend, soft, weights);
-                if (onImproved) {
-                    onImproved(incumbent);
-                }
-            }
-            break;
-        }
-        case SearchStrategy::LinearUp: {
-            int bound = 0;
-            while (bound < incumbent && !solveAtMost(bound) && !cancelled) {
-                ++bound;
-            }
-            incumbent = (bound < incumbent) ? weightedCount(backend, soft, weights) : incumbent;
-            if (onImproved) {
-                onImproved(incumbent);
             }
             break;
         }
@@ -136,9 +118,6 @@ MinimizeResult minimizeImpl(SatBackend& backend, std::span<const Literal> soft,
                 const int mid = lo + (hi - lo) / 2;
                 if (solveAtMost(mid)) {
                     hi = weightedCount(backend, soft, weights);
-                    if (onImproved) {
-                        onImproved(hi);
-                    }
                 } else if (cancelled) {
                     break;
                 } else {
@@ -159,9 +138,7 @@ MinimizeResult minimizeImpl(SatBackend& backend, std::span<const Literal> soft,
 
     // No re-solve: every probe after the last SAT one was UNSAT, so the
     // backend still holds that model (SatBackend::modelValue reads the most
-    // recent satisfying model), and every strategy's last SAT model counts
-    // the optimum — LinearDown's and Binary's incumbent, LinearUp's ascent
-    // (or the first solve when the ascent reached it).
+    // recent satisfying model), and that model counts the optimum.
     ETCS_REQUIRE_MSG(weightedCount(backend, soft, weights) == incumbent,
                      "the held model must count the optimum");
     return result;
@@ -172,7 +149,6 @@ MinimizeResult minimizeImpl(SatBackend& backend, std::span<const Literal> soft,
 std::string_view toString(SearchStrategy strategy) {
     switch (strategy) {
         case SearchStrategy::LinearDown: return "linear-down";
-        case SearchStrategy::LinearUp: return "linear-up";
         case SearchStrategy::Binary: return "binary";
     }
     return "unknown";
@@ -180,9 +156,8 @@ std::string_view toString(SearchStrategy strategy) {
 
 MinimizeResult minimizeTrueLiterals(SatBackend& backend, std::span<const Literal> soft,
                                     SearchStrategy strategy,
-                                    const std::function<void(int)>& onImproved,
                                     std::span<const Literal> alwaysAssume) {
-    return minimizeImpl(backend, soft, {}, strategy, onImproved, alwaysAssume);
+    return minimizeImpl(backend, soft, {}, strategy, alwaysAssume);
 }
 
 MinimizeResult minimizeWeightedTrueLiterals(SatBackend& backend,
@@ -194,7 +169,7 @@ MinimizeResult minimizeWeightedTrueLiterals(SatBackend& backend,
                      "one weight per soft literal required");
     ETCS_REQUIRE_MSG(std::all_of(weights.begin(), weights.end(), [](int w) { return w > 0; }),
                      "weights must be positive");
-    return minimizeImpl(backend, soft, weights, strategy, {}, alwaysAssume);
+    return minimizeImpl(backend, soft, weights, strategy, alwaysAssume);
 }
 
 IndexSearchResult smallestFeasibleIndex(SatBackend& backend,
@@ -251,16 +226,6 @@ IndexSearchResult smallestFeasibleIndex(SatBackend& backend,
             }
             result.feasible = true;
             result.index = feasibleHi;
-            break;
-        }
-        case SearchStrategy::LinearUp: {
-            for (int t = lo; t <= hi && !cancelled; ++t) {
-                if (feasible(t)) {
-                    result.feasible = true;
-                    result.index = t;
-                    break;
-                }
-            }
             break;
         }
         case SearchStrategy::LinearDown: {

@@ -23,13 +23,13 @@ namespace etcs::opt {
 using cnf::Literal;
 using cnf::SatBackend;
 
+/// The values are fixed because the names of parameterized tests print them.
 enum class SearchStrategy {
-    LinearDown,  ///< SAT -> tighten bound below the incumbent until UNSAT.
-    LinearUp,    ///< UNSAT -> relax bound upward until SAT.
-    Binary,      ///< minimizeTrueLiterals: bisection between 0 and the incumbent.
-                 ///< smallestFeasibleIndex: gallop up from lo (lo, lo+1, lo+3,
-                 ///< lo+7, ..., capped at hi) to the first SAT probe, then
-                 ///< bisection between the last UNSAT probe and it.
+    LinearDown = 0,  ///< SAT -> tighten bound below the incumbent until UNSAT.
+    Binary = 2,      ///< minimizeTrueLiterals: bisection between 0 and the incumbent.
+                     ///< smallestFeasibleIndex: gallop up from lo (lo, lo+1, lo+3,
+                     ///< lo+7, ..., capped at hi) to the first SAT probe, then
+                     ///< bisection between the last UNSAT probe and it.
 };
 
 [[nodiscard]] std::string_view toString(SearchStrategy strategy);
@@ -49,12 +49,10 @@ struct MinimizeResult {
 /// Minimize the number of true literals among `soft` subject to the clauses
 /// already in `backend`.  Builds one totalizer over `soft` and then tightens
 /// the bound with assumption literals only, so the backend stays reusable.
-/// `onImproved` (optional) is invoked with every improved incumbent.
 /// `alwaysAssume` (optional) literals are assumed on every solve, which lets
 /// callers scope the minimization (e.g. "given completion by step T").
 MinimizeResult minimizeTrueLiterals(SatBackend& backend, std::span<const Literal> soft,
                                     SearchStrategy strategy = SearchStrategy::LinearDown,
-                                    const std::function<void(int)>& onImproved = {},
                                     std::span<const Literal> alwaysAssume = {});
 
 /// Weighted variant: minimize sum(weight_i * soft_i). Weights must be

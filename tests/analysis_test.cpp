@@ -1,5 +1,6 @@
-// Tests for the design-space analyses: trade-off curves, delay robustness,
-// and cost-weighted layout generation.
+// Tests for the design-space analyses (trade-off curves, delay robustness,
+// schedule slack) and the task variants they sit beside: cost-weighted layout
+// generation and per-train arrival optimization.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -137,6 +138,30 @@ TEST_F(AnalysisFixture, WeightedGenerationAvoidsExpensiveBorders) {
     EXPECT_LE(weightedCost, plainCost);
 }
 
+/// Weighted generation runs the tasks' pipeline: with unit costs it builds
+/// generateLayout's formula and runs its search, so it reports the same
+/// formula size and solver work.
+TEST(WeightedGeneration, UnitCostsReportTheWorkOfGenerateLayout) {
+    const auto check = [](const studies::CaseStudy& study) {
+        SCOPED_TRACE(study.name);
+        const Instance timed(study.network, study.trains, study.timedSchedule,
+                             study.resolution);
+        const auto plain = generateLayout(timed);
+        const auto weighted = generateLayoutWeighted(timed, [](SegNodeId) { return 1; });
+        ASSERT_TRUE(plain.feasible);
+        ASSERT_TRUE(weighted.feasible);
+        EXPECT_GT(plain.stats.propagations, 0U);
+        EXPECT_EQ(weighted.stats.numVariables, plain.stats.numVariables);
+        EXPECT_EQ(weighted.stats.numClauses, plain.stats.numClauses);
+        EXPECT_EQ(weighted.stats.solveCalls, plain.stats.solveCalls);
+        EXPECT_EQ(weighted.stats.conflicts, plain.stats.conflicts);
+        EXPECT_EQ(weighted.stats.propagations, plain.stats.propagations);
+        EXPECT_EQ(weighted.stats.decisions, plain.stats.decisions);
+    };
+    check(studies::runningExample());
+    check(studies::simpleLayout());
+}
+
 TEST_F(AnalysisFixture, WeightedGenerationRejectsNonPositiveCosts) {
     EXPECT_THROW((void)generateLayoutWeighted(timed, [](SegNodeId) { return 0; }),
                  PreconditionError);
@@ -236,6 +261,15 @@ TEST_F(AnalysisFixture, IndividualArrivalsWithReversedPriority) {
     const auto defaultOrder = optimizeIndividualArrivals(open);
     ASSERT_TRUE(defaultOrder.feasible);
     EXPECT_LE(result.doneSteps.back(), defaultOrder.doneSteps.back());
+}
+
+TEST_F(AnalysisFixture, IndividualArrivalsReportSolverWork) {
+    const auto result = optimizeIndividualArrivals(open);
+    ASSERT_TRUE(result.feasible);
+    EXPECT_GT(result.stats.solveCalls, 1U);
+    EXPECT_GT(result.stats.numClauses, 0U);
+    EXPECT_GT(result.stats.propagations, 0U);
+    EXPECT_GT(result.stats.decisions, 0U);
 }
 
 TEST_F(AnalysisFixture, IndividualArrivalsRejectBadPriority) {

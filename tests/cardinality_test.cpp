@@ -1,5 +1,5 @@
-// Totalizer and sequential-counter cardinality encodings: outputs must track
-// the popcount of the inputs exactly, for every assignment.
+// Totalizer cardinality encoding: outputs must track the popcount of the
+// inputs exactly, for every assignment.
 #include <gtest/gtest.h>
 
 #include "cnf/backend.hpp"
@@ -89,29 +89,6 @@ TEST(Totalizer, HardAtMostConstraint) {
     EXPECT_EQ(backend->solve({inputs[0], inputs[1], inputs[2]}), SolveStatus::Unsat);
     EXPECT_EQ(backend->solve({inputs[0], inputs[1]}), SolveStatus::Sat);
 }
-
-using SeqCase = std::tuple<int, int>;  // (n, k)
-
-class SequentialCounterTest : public ::testing::TestWithParam<SeqCase> {};
-
-TEST_P(SequentialCounterTest, AcceptsExactlyAssignmentsWithinBound) {
-    const auto [n, k] = GetParam();
-    const auto backend = makeInternalBackend();
-    const auto inputs = makeInputs(*backend, n);
-    addAtMostK(*backend, inputs, static_cast<std::size_t>(k));
-    for (std::uint32_t bits = 0; bits < (1u << n); ++bits) {
-        const auto assumptions = assignmentAssumptions(inputs, bits);
-        const bool expected = __builtin_popcount(bits) <= k;
-        EXPECT_EQ(backend->solve(assumptions) == SolveStatus::Sat, expected)
-            << "n=" << n << " k=" << k << " bits=" << bits;
-    }
-}
-
-INSTANTIATE_TEST_SUITE_P(Bounds, SequentialCounterTest,
-                         ::testing::Values(SeqCase{4, 0}, SeqCase{4, 1}, SeqCase{4, 2},
-                                           SeqCase{4, 3}, SeqCase{4, 4}, SeqCase{6, 1},
-                                           SeqCase{6, 3}, SeqCase{6, 5}, SeqCase{8, 2},
-                                           SeqCase{8, 4}));
 
 TEST(Cardinality, TotalizerOverEmptyInputsIsRejected) {
     const auto backend = makeInternalBackend();

@@ -185,8 +185,7 @@ TEST_P(StrategyTest, RandomInstancesMatchBruteForce) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllStrategies, StrategyTest,
-                         ::testing::Values(SearchStrategy::LinearDown,
-                                           SearchStrategy::LinearUp, SearchStrategy::Binary),
+                         ::testing::Values(SearchStrategy::LinearDown, SearchStrategy::Binary),
                          [](const ::testing::TestParamInfo<SearchStrategy>& info) {
                              std::string name(toString(info.param));
                              for (char& c : name) {
@@ -293,15 +292,13 @@ TEST_P(IndexSearchTest, InfeasibleRangeProbes) {
     std::vector<int> expected;
     switch (GetParam()) {
         case SearchStrategy::Binary: expected = {0, 1, 3, 7, 9}; break;
-        case SearchStrategy::LinearUp: expected = {0, 1, 2, 3, 4, 5, 6, 7, 8, 9}; break;
         case SearchStrategy::LinearDown: expected = {9}; break;
     }
     EXPECT_EQ(probesOnChain(GetParam(), 10), expected);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllStrategies, IndexSearchTest,
-                         ::testing::Values(SearchStrategy::LinearDown,
-                                           SearchStrategy::LinearUp, SearchStrategy::Binary),
+                         ::testing::Values(SearchStrategy::LinearDown, SearchStrategy::Binary),
                          [](const ::testing::TestParamInfo<SearchStrategy>& info) {
                              std::string name(toString(info.param));
                              for (char& c : name) {
@@ -316,17 +313,6 @@ INSTANTIATE_TEST_SUITE_P(AllStrategies, IndexSearchTest,
 /// backend holds the model of the last SAT probe, which was at the returned
 /// index, whether or not UNSAT probes followed it.
 TEST(Minimize, SkipsRedundantTrailingResolve) {
-    {
-        // LinearUp probes 0..5 and ends SAT at the optimum: 6 calls.
-        const auto backend = cnf::makeInternalBackend();
-        const auto y = makeChain(*backend, 10, 5);
-        const auto result = smallestFeasibleIndex(
-            *backend, [&](int t) { return y[t]; }, 0, 9, SearchStrategy::LinearUp);
-        ASSERT_TRUE(result.feasible);
-        EXPECT_EQ(result.index, 5);
-        EXPECT_EQ(result.solveCalls, 6U);
-        EXPECT_TRUE(backend->modelValue(y[5]));
-    }
     {
         // Binary gallops 0, 1, 3, 7 (the first SAT), bisects 5 (SAT) and
         // ends on the UNSAT 4 with the model of 5: 6 calls.
@@ -376,17 +362,14 @@ TEST(Minimize, SkipsRedundantTrailingResolveInBorderSearch) {
         std::uint64_t solveCalls;
     };
     const Case cases[] = {
-        // Five free literals: every strategy ends on a SAT probe at 0.
-        // LinearDown: first solve, atMost(4), atMost(0). LinearUp: first
-        // solve, atMost(0). Binary: first solve, atMost(2), atMost(0).
+        // Five free literals: both strategies end on a SAT probe at 0.
+        // LinearDown: first solve, atMost(4), atMost(0). Binary: first
+        // solve, atMost(2), atMost(0).
         {SearchStrategy::LinearDown, false, 3U},
-        {SearchStrategy::LinearUp, false, 2U},
         {SearchStrategy::Binary, false, 3U},
-        // Three disjoint demands: LinearDown and Binary end on the UNSAT
-        // atMost(2) and keep the model of 3; LinearUp ends SAT at atMost(3)
-        // after UNSAT at 0, 1 and 2.
+        // Three disjoint demands: both end on the UNSAT atMost(2) and keep
+        // the model of 3.
         {SearchStrategy::LinearDown, true, 3U},
-        {SearchStrategy::LinearUp, true, 5U},
         {SearchStrategy::Binary, true, 4U},
     };
     for (const Case& c : cases) {

@@ -116,10 +116,9 @@ TEST_F(RunningFixture, LexicographicSectionsReduceLayout) {
 }
 
 TEST_F(RunningFixture, SearchStrategiesAgreeOnGeneration) {
-    int sections[3];
+    int sections[2];
     int i = 0;
-    for (const auto strategy : {opt::SearchStrategy::LinearDown, opt::SearchStrategy::LinearUp,
-                                opt::SearchStrategy::Binary}) {
+    for (const auto strategy : {opt::SearchStrategy::LinearDown, opt::SearchStrategy::Binary}) {
         TaskOptions options;
         options.borderSearch = strategy;
         const auto result = generateLayout(timed, options);
@@ -127,21 +126,6 @@ TEST_F(RunningFixture, SearchStrategiesAgreeOnGeneration) {
         sections[i++] = result.sectionCount;
     }
     EXPECT_EQ(sections[0], sections[1]);
-    EXPECT_EQ(sections[1], sections[2]);
-}
-
-TEST_F(RunningFixture, AmoEncodingsAgreeOnVerification) {
-    for (const auto encoding : {cnf::AmoEncoding::Pairwise, cnf::AmoEncoding::Sequential,
-                                cnf::AmoEncoding::Commander, cnf::AmoEncoding::Product}) {
-        TaskOptions options;
-        options.encoder.amoEncoding = encoding;
-        const VssLayout pure(timed.graph());
-        EXPECT_FALSE(verifySchedule(timed, pure, options).feasible)
-            << cnf::toString(encoding);
-        const auto finest = VssLayout::finest(timed.graph());
-        EXPECT_TRUE(verifySchedule(timed, finest, options).feasible)
-            << cnf::toString(encoding);
-    }
 }
 
 TEST_F(RunningFixture, VerificationRequiresTimedSchedule) {
@@ -163,26 +147,26 @@ TEST_F(RunningFixture, OptimizationInfeasibleOnTooShortHorizon) {
 
 /// A horizon shorter than any possible completion is its own verdict — no
 /// encode, no solver call, and the lower bound that a retry must beat is
-/// reported.
+/// reported — whatever the horizon: the check comes before the lint gate,
+/// whose horizon lints reject the shortest of these as infeasible.
 TEST_F(RunningFixture, OptimizeReportsHorizonTooShort) {
-    rail::Schedule shortened = study.openSchedule;
-    shortened.setHorizon(study.resolution.temporal +
-                         study.resolution.temporal);  // two steps: nobody finishes
-    const Instance instance(study.network, study.trains, shortened, study.resolution);
-    // The schedule lints reject this horizon first (as infeasible); the
-    // verdict is the optimize task's own check.
-    TaskOptions options;
-    options.lintInstance = false;
     auto& tooShort = obs::Registry::global().counter("etcs.task.optimize.horizon_too_short");
-    const auto before = tooShort.value();
-    const auto result = optimizeSchedule(instance, options);
-    EXPECT_FALSE(result.feasible);
-    EXPECT_EQ(result.verdict, OptimizeVerdict::HorizonTooShort);
-    EXPECT_EQ(toString(result.verdict), "horizon_too_short");
-    EXPECT_GT(result.completionLowerBound, instance.horizonSteps() - 1);
-    EXPECT_EQ(result.stats.solveCalls, 0U);
-    EXPECT_EQ(result.stats.numClauses, 0U) << "rejection must not encode";
-    EXPECT_EQ(tooShort.value(), before + 1);
+    for (int steps = 3; steps <= 6; ++steps) {
+        SCOPED_TRACE(std::to_string(steps) + " horizon steps");
+        rail::Schedule shortened = study.openSchedule;
+        shortened.setHorizon(Seconds(study.resolution.temporal.count() * (steps - 1)));
+        const Instance instance(study.network, study.trains, shortened, study.resolution);
+        ASSERT_EQ(instance.horizonSteps(), steps);
+        const auto before = tooShort.value();
+        const auto result = optimizeSchedule(instance);
+        EXPECT_FALSE(result.feasible);
+        EXPECT_EQ(result.verdict, OptimizeVerdict::HorizonTooShort);
+        EXPECT_EQ(toString(result.verdict), "horizon_too_short");
+        EXPECT_GT(result.completionLowerBound, instance.horizonSteps() - 1);
+        EXPECT_EQ(result.stats.solveCalls, 0U);
+        EXPECT_EQ(result.stats.numClauses, 0U) << "rejection must not encode";
+        EXPECT_EQ(tooShort.value(), before + 1);
+    }
 }
 
 /// A feasible optimization must NOT be classified as HorizonTooShort.

@@ -74,8 +74,7 @@ TEST_P(WeightedStrategyTest, InfeasibleReported) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllStrategies, WeightedStrategyTest,
-                         ::testing::Values(SearchStrategy::LinearDown,
-                                           SearchStrategy::LinearUp, SearchStrategy::Binary),
+                         ::testing::Values(SearchStrategy::LinearDown, SearchStrategy::Binary),
                          [](const ::testing::TestParamInfo<SearchStrategy>& info) {
                              std::string name(toString(info.param));
                              for (char& c : name) {
@@ -115,8 +114,7 @@ TEST(ScopedMinimize, AlwaysAssumeRestrictsTheSearch) {
     ASSERT_TRUE(unscoped.feasible);
     EXPECT_EQ(unscoped.optimum, 0);
     const Literal scope[] = {y};
-    const auto scoped = minimizeTrueLiterals(*backend, soft, SearchStrategy::LinearDown, {},
-                                             scope);
+    const auto scoped = minimizeTrueLiterals(*backend, soft, SearchStrategy::LinearDown, scope);
     ASSERT_TRUE(scoped.feasible);
     EXPECT_EQ(scoped.optimum, 1);
 }
