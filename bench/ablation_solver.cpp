@@ -1,12 +1,13 @@
 /// \file ablation_solver.cpp
-/// Ablation A2 (our addition, see DESIGN.md): contribution of individual
-/// CDCL solver features -- conflict-clause minimization, restarts, phase
-/// saving -- measured on a representative ETCS instance (the simple-layout
-/// generation formula) and on a classic hard UNSAT family (pigeonhole).
+/// Ablation A2 (our addition, see DESIGN.md): what phase saving, the one
+/// CDCL feature the solver can still switch off (the portfolio's diversity
+/// table does), contributes on a representative ETCS instance (the
+/// simple-layout pure-TTD verification formula) and on a classic hard UNSAT
+/// family (pigeonhole). EXPERIMENTS.md A2 records the measurements that
+/// removed the other switches.
 #include <benchmark/benchmark.h>
 
 #include "cnf/collect.hpp"
-#include "sat/preprocess.hpp"
 #include "core/encoder.hpp"
 #include "core/instance.hpp"
 #include "sat/solver.hpp"
@@ -17,17 +18,13 @@ using namespace etcs;
 namespace {
 
 struct FeatureSet {
-    bool minimize;
-    bool restarts;
     bool phaseSaving;
     const char* label;
 };
 
 constexpr FeatureSet kFeatureSets[] = {
-    {true, true, true, "full"},
-    {false, true, true, "no-minimize"},
-    {true, false, true, "no-restarts"},
-    {true, true, false, "no-phase-saving"},
+    {true, "full"},
+    {false, "no-phase-saving"},
 };
 
 /// Collect the CNF of the simple-layout verification instance once.
@@ -51,8 +48,6 @@ void BM_SolverFeaturesOnEtcs(benchmark::State& state) {
     std::uint64_t conflicts = 0;
     for (auto _ : state) {
         sat::Solver solver;
-        solver.options().minimizeLearned = features.minimize;
-        solver.options().useRestarts = features.restarts;
         solver.options().phaseSaving = features.phaseSaving;
         for (sat::Var v = 0; v < formula.numVariables(); ++v) {
             solver.addVariable();
@@ -70,7 +65,7 @@ void BM_SolverFeaturesOnEtcs(benchmark::State& state) {
     state.SetLabel(features.label);
     state.counters["conflicts"] = static_cast<double>(conflicts);
 }
-BENCHMARK(BM_SolverFeaturesOnEtcs)->DenseRange(0, 3)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_SolverFeaturesOnEtcs)->DenseRange(0, 1)->Unit(benchmark::kMillisecond);
 
 void BM_SolverFeaturesOnPigeonhole(benchmark::State& state) {
     const FeatureSet& features = kFeatureSets[state.range(0)];
@@ -78,8 +73,6 @@ void BM_SolverFeaturesOnPigeonhole(benchmark::State& state) {
     constexpr int kHoles = 7;
     for (auto _ : state) {
         sat::Solver solver;
-        solver.options().minimizeLearned = features.minimize;
-        solver.options().useRestarts = features.restarts;
         solver.options().phaseSaving = features.phaseSaving;
         std::vector<std::vector<sat::Var>> p(kPigeons, std::vector<sat::Var>(kHoles));
         for (auto& row : p) {
@@ -106,40 +99,7 @@ void BM_SolverFeaturesOnPigeonhole(benchmark::State& state) {
     }
     state.SetLabel(features.label);
 }
-BENCHMARK(BM_SolverFeaturesOnPigeonhole)->DenseRange(0, 3)->Unit(benchmark::kMillisecond);
-
-/// Preprocessing the ETCS formula before solving: measure the end-to-end
-/// effect (simplification cost + solve on the reduced instance).
-void BM_PreprocessThenSolve(benchmark::State& state) {
-    const bool usePreprocessor = state.range(0) != 0;
-    const auto& collected = etcsFormula();
-    std::size_t clausesAfter = 0;
-    for (auto _ : state) {
-        sat::CnfFormula formula = collected.formula();
-        if (usePreprocessor) {
-            const auto pre = sat::preprocess(formula);
-            if (pre.unsatisfiable) {
-                state.SkipWithError("preprocessor must not decide this instance alone");
-            }
-        }
-        clausesAfter = formula.clauses.size();
-        sat::Solver solver;
-        for (sat::Var v = 0; v < formula.numVariables; ++v) {
-            solver.addVariable();
-        }
-        for (const auto& clause : formula.clauses) {
-            solver.addClause(clause);
-        }
-        const auto status = solver.solve();
-        benchmark::DoNotOptimize(status);
-        if (status != sat::SolveStatus::Unsat) {
-            state.SkipWithError("the pure-TTD simple layout must be UNSAT");
-        }
-    }
-    state.SetLabel(usePreprocessor ? "preprocess+solve" : "solve-only");
-    state.counters["clauses"] = static_cast<double>(clausesAfter);
-}
-BENCHMARK(BM_PreprocessThenSolve)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_SolverFeaturesOnPigeonhole)->DenseRange(0, 1)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

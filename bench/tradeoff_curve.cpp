@@ -6,7 +6,7 @@
 #include <iomanip>
 #include <iostream>
 
-#include "core/analysis.hpp"
+#include "core/tasks.hpp"
 #include "studies/studies.hpp"
 
 using namespace etcs;

@@ -10,7 +10,6 @@
 /// schedule at a tenth of the cost.
 #include <iostream>
 
-#include "core/analysis.hpp"
 #include "core/instance.hpp"
 #include "core/tasks.hpp"
 #include "studies/studies.hpp"

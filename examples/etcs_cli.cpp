@@ -13,7 +13,6 @@
 ///
 /// Exit code: 0 = task solved (verification feasible / layout found),
 ///            1 = proven infeasible, 2 = usage or input error.
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
@@ -27,6 +26,7 @@
 #include "core/tasks.hpp"
 #include "railway/dot.hpp"
 #include "railway/io.hpp"
+#include "util/parse.hpp"
 
 using namespace etcs;
 
@@ -74,9 +74,19 @@ std::optional<CliOptions> parseArguments(int argc, char** argv) {
             return std::nullopt;
         }
         if (std::strcmp(argv[i], "--rs") == 0) {
-            options.spatial = Meters(std::atoll(argv[i + 1]));
+            const auto metres = util::parseNumber<std::int64_t>(argv[i + 1]);
+            if (!metres) {
+                std::cerr << "error: --rs expects a whole number of metres\n";
+                return std::nullopt;
+            }
+            options.spatial = Meters(*metres);
         } else if (std::strcmp(argv[i], "--rt") == 0) {
-            options.temporal = Seconds(std::atoll(argv[i + 1]));
+            const auto seconds = util::parseNumber<std::int64_t>(argv[i + 1]);
+            if (!seconds) {
+                std::cerr << "error: --rt expects a whole number of seconds\n";
+                return std::nullopt;
+            }
+            options.temporal = Seconds(*seconds);
         } else if (std::strcmp(argv[i], "--dot") == 0) {
             options.dotFile = argv[i + 1];
         } else if (std::strcmp(argv[i], "--cnf") == 0) {
@@ -85,11 +95,12 @@ std::optional<CliOptions> parseArguments(int argc, char** argv) {
             options.explainJsonFile = argv[i + 1];
             options.explain = true;
         } else if (std::strcmp(argv[i], "--threads") == 0) {
-            options.threads = std::atoi(argv[i + 1]);
-            if (options.threads < 0) {
+            const auto threads = util::parseNumber<int>(argv[i + 1]);
+            if (!threads || *threads < 0) {
                 std::cerr << "error: --threads expects a count >= 0\n";
                 return std::nullopt;
             }
+            options.threads = *threads;
         } else {
             return std::nullopt;
         }

@@ -2,23 +2,22 @@
 /// Standalone DIMACS front end for the built-in CDCL solver — useful for
 /// exercising the SAT substrate on standard benchmark files.
 ///
-///   sat_solve [--preprocess] [--no-restarts] [--stats] [--explain]
-///             [--threads N [--deterministic]] [--proof FILE [--binary-proof]]
-///             [file.cnf]
+///   sat_solve [--stats] [--explain] [--threads N [--deterministic]]
+///             [--proof FILE [--binary-proof]] [file.cnf]
 ///
 /// Reads DIMACS CNF from the file (or stdin), prints the SAT-competition
 /// style result ("s SATISFIABLE" + "v ..." model lines, or
 /// "s UNSATISFIABLE"). Exit code: 10 = SAT, 20 = UNSAT (competition
-/// convention), 2 = input error.
+/// convention), 2 = usage or input error.
 ///
 /// With --threads N (N != 1), the parallel portfolio solver races N
 /// diversified CDCL workers with clause sharing (N = 0 picks the hardware
 /// concurrency); --deterministic selects its reproducible lock-step mode.
 /// See docs/PARALLEL.md.
 ///
-/// With --proof FILE, every preprocessing step and solver inference is
-/// logged as a DRAT proof (text by default, binary with --binary-proof);
-/// on UNSAT the file can be validated with `dratcheck file.cnf FILE`.
+/// With --proof FILE, every solver inference is logged as a DRAT proof
+/// (text by default, binary with --binary-proof); on UNSAT the file can be
+/// validated with `dratcheck file.cnf FILE`.
 /// Portfolio proofs are winner-only (clause sharing is disabled while a
 /// proof is attached).
 ///
@@ -28,7 +27,6 @@
 /// comments (the CNF-level half of the provenance pipeline in
 /// docs/EXPLAIN.md). Combines with --proof: the captured proof is then also
 /// serialized to the file.
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
@@ -37,15 +35,23 @@
 #include "sat/dimacs.hpp"
 #include "sat/drat_check.hpp"
 #include "sat/portfolio.hpp"
-#include "sat/preprocess.hpp"
 #include "sat/proof.hpp"
 #include "sat/solver.hpp"
+#include "util/parse.hpp"
 
 using namespace etcs::sat;
 
+namespace {
+
+int usage() {
+    std::cerr << "usage: sat_solve [--stats] [--explain] [--threads N [--deterministic]] "
+                 "[--proof FILE [--binary-proof]] [file.cnf]\n";
+    return 2;
+}
+
+}  // namespace
+
 int main(int argc, char** argv) {
-    bool runPreprocess = false;
-    bool noRestarts = false;
     bool printStats = false;
     bool binaryProof = false;
     bool deterministic = false;
@@ -54,11 +60,7 @@ int main(int argc, char** argv) {
     const char* proofPath = nullptr;
     const char* path = nullptr;
     for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--preprocess") == 0) {
-            runPreprocess = true;
-        } else if (std::strcmp(argv[i], "--no-restarts") == 0) {
-            noRestarts = true;
-        } else if (std::strcmp(argv[i], "--stats") == 0) {
+        if (std::strcmp(argv[i], "--stats") == 0) {
             printStats = true;
         } else if (std::strcmp(argv[i], "--binary-proof") == 0) {
             binaryProof = true;
@@ -67,18 +69,16 @@ int main(int argc, char** argv) {
         } else if (std::strcmp(argv[i], "--explain") == 0) {
             explain = true;
         } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-            threads = std::atoi(argv[++i]);
-            if (threads < 0) {
+            const auto count = etcs::util::parseNumber<int>(argv[++i]);
+            if (!count || *count < 0) {
                 std::cerr << "c --threads expects a count >= 0\n";
-                return 2;
+                return usage();
             }
+            threads = *count;
         } else if (std::strcmp(argv[i], "--proof") == 0 && i + 1 < argc) {
             proofPath = argv[++i];
         } else if (argv[i][0] == '-') {
-            std::cerr << "usage: sat_solve [--preprocess] [--no-restarts] [--stats] "
-                         "[--explain] [--threads N [--deterministic]] "
-                         "[--proof FILE [--binary-proof]] [file.cnf]\n";
-            return 2;
+            return usage();
         } else {
             path = argv[i];
         }
@@ -116,13 +116,9 @@ int main(int argc, char** argv) {
         }
 
         // --explain captures the proof in memory so it can be checked
-        // in-process against the original (pre-preprocessing) formula; the
-        // file writer, when present, gets the same proof replayed afterwards.
+        // in-process against the formula; the file writer, when present,
+        // gets the same proof replayed afterwards.
         MemoryProofWriter memoryProof;
-        CnfFormula original;
-        if (explain) {
-            original = formula;
-        }
         ProofWriter* proof =
             explain ? static_cast<ProofWriter*>(&memoryProof) : fileProof.get();
 
@@ -135,7 +131,7 @@ int main(int argc, char** argv) {
             }
         };
         const auto certifyCore = [&] {
-            const DratCheckResult check = checkDrat(original, memoryProof.proof());
+            const DratCheckResult check = checkDrat(formula, memoryProof.proof());
             if (!check.verified) {
                 std::cout << "c explain: DRAT certification FAILED: " << check.error
                           << "\n";
@@ -143,7 +139,7 @@ int main(int argc, char** argv) {
             }
             std::cout << "c explain: certified UNSAT core: "
                       << check.coreClauseIndices.size() << " of "
-                      << original.clauses.size() << " original clauses ("
+                      << formula.clauses.size() << " original clauses ("
                       << check.stats.verifiedLemmas << " verified lemmas)\n";
             std::cout << "c core";
             for (const std::size_t index : check.coreClauseIndices) {
@@ -151,26 +147,6 @@ int main(int argc, char** argv) {
             }
             std::cout << "\n";
         };
-
-        std::vector<Literal> fixed;
-        if (runPreprocess) {
-            const auto pre = preprocess(formula, proof);
-            std::cout << "c preprocess: " << pre.stats.propagatedUnits << " units, "
-                      << pre.stats.eliminatedPureLiterals << " pure, "
-                      << pre.stats.subsumedClauses << " subsumed, "
-                      << pre.stats.strengthenedClauses << " strengthened ("
-                      << pre.stats.rounds << " rounds)\n";
-            if (pre.unsatisfiable) {
-                finishProof();
-                if (explain) {
-                    certifyCore();
-                }
-                std::cout << "s UNSATISFIABLE\n";
-                return 20;
-            }
-            fixed = pre.fixedLiterals;
-            fixed.insert(fixed.end(), pre.pureLiterals.begin(), pre.pureLiterals.end());
-        }
 
         std::unique_ptr<PortfolioSolver> portfolio;
         Solver solver;
@@ -193,7 +169,6 @@ int main(int argc, char** argv) {
             std::cout << "c portfolio winner: worker " << portfolio->lastWinner()
                       << "\n";
         } else {
-            solver.options().useRestarts = !noRestarts;
             solver.setProofWriter(proof);
             for (int v = 0; v < formula.numVariables; ++v) {
                 solver.addVariable();
@@ -225,20 +200,9 @@ int main(int argc, char** argv) {
             return 20;
         }
         std::cout << "s SATISFIABLE\nv";
-        // The preprocessor's fixed/pure literals override the reduced
-        // formula's (possibly unconstrained) values.
-        std::vector<Value> model(static_cast<std::size_t>(formula.numVariables));
         for (Var v = 0; v < formula.numVariables; ++v) {
-            model[static_cast<std::size_t>(v)] =
-                portfolio ? portfolio->modelValue(v) : solver.modelValue(v);
-        }
-        for (Literal l : fixed) {
-            model[static_cast<std::size_t>(l.var())] = l.sign() ? Value::False : Value::True;
-        }
-        for (Var v = 0; v < formula.numVariables; ++v) {
-            std::cout << ' '
-                      << (model[static_cast<std::size_t>(v)] == Value::True ? v + 1
-                                                                            : -(v + 1));
+            const Value value = portfolio ? portfolio->modelValue(v) : solver.modelValue(v);
+            std::cout << ' ' << (value == Value::True ? v + 1 : -(v + 1));
         }
         std::cout << " 0\n";
         return 10;

@@ -1,55 +1,6 @@
 #include "core/analysis.hpp"
 
-#include <algorithm>
-#include <optional>
-
-#include "cnf/cardinality.hpp"
-
 namespace etcs::core {
-
-std::vector<TradeoffPoint> tradeoffCurve(const Instance& instance, int maxExtraBorders,
-                                         const TaskOptions& options) {
-    ETCS_REQUIRE_MSG(maxExtraBorders >= 0, "border budget must be non-negative");
-    const auto backend = makeBackend(options);
-    Encoder encoder(*backend, instance, options.encoder);
-    encoder.encode(nullptr);
-
-    const auto borders = encoder.freeBorderLiterals();
-    // A budget of |borders| or more is unconstrained; clamp the sweep.
-    const int maxUseful = static_cast<int>(borders.size());
-    std::optional<cnf::Totalizer> totalizer;
-    if (maxUseful > 0) {
-        totalizer.emplace(*backend, borders);
-    }
-
-    const int lo = encoder.completionLowerBound();
-    const int hi = instance.horizonSteps() - 1;
-
-    std::vector<TradeoffPoint> curve;
-    for (int k = 0; k <= maxExtraBorders; ++k) {
-        TradeoffPoint point;
-        point.extraBorders = k;
-        std::vector<cnf::Literal> budget;
-        if (k < maxUseful) {
-            budget.push_back(totalizer->atMostAssumption(static_cast<std::size_t>(k)));
-        }
-        if (lo <= hi) {
-            const auto search = opt::smallestFeasibleIndex(
-                *backend, [&](int step) { return encoder.doneAllLiteral(step); }, lo, hi,
-                options.timeSearch, budget);
-            if (search.feasible) {
-                point.feasible = true;
-                point.completionSteps = search.index;
-                point.sectionCount = encoder.decode().sectionCount;
-            }
-        }
-        curve.push_back(point);
-        if (k >= maxUseful) {
-            break;  // further budgets cannot change anything
-        }
-    }
-    return curve;
-}
 
 RobustnessReport delayRobustness(const Instance& instance, const VssLayout& layout,
                                  int maxDelaySteps, bool shiftArrivals,

@@ -1,18 +1,16 @@
 /// \file analysis.hpp
-/// Higher-level design-space analyses built on the three base tasks:
+/// Higher-level design-space analyses that run the base tasks many times:
 ///
-///  * tradeoffCurve     — "how much does each additional virtual border
-///    buy?": for every budget of k virtual borders, the fastest achievable
-///    completion time. This quantifies the paper's claim that VSS unveil
-///    scheduling potential, one border at a time.
 ///  * delayRobustness   — "which departure delays does the timetable
 ///    survive?": per train and delay, whether the schedule remains
 ///    realizable on a fixed layout. Verification "covering all
 ///    possibilities" is the paper's stated motivation (footnote 4).
 ///  * scheduleSlack     — how far each arrival deadline could be tightened.
 ///
-/// The single-solve task variants (cost-weighted generation, per-train
-/// arrival optimization) live with the base tasks in core/tasks.hpp.
+/// The analyses that solve one formula (the borders-vs-completion
+/// trade-off curve, cost-weighted generation, per-train arrival
+/// optimization) live with the base tasks in core/tasks.hpp and run their
+/// pipeline.
 #pragma once
 
 #include <vector>
@@ -20,22 +18,6 @@
 #include "core/tasks.hpp"
 
 namespace etcs::core {
-
-/// One point of the borders-vs-completion trade-off curve.
-struct TradeoffPoint {
-    int extraBorders = 0;     ///< budget: at most this many virtual borders
-    bool feasible = false;    ///< schedule completable within the horizon
-    int completionSteps = 0;  ///< minimal completion under the budget
-    int sectionCount = 0;     ///< sections of the witness layout
-};
-
-/// For k = 0..maxExtraBorders: the minimal completion time achievable with
-/// at most k virtual borders (departures fixed, arrivals open).  The curve
-/// is non-increasing in k.  Encodes once and sweeps budgets via solver
-/// assumptions.
-[[nodiscard]] std::vector<TradeoffPoint> tradeoffCurve(const Instance& instance,
-                                                       int maxExtraBorders,
-                                                       const TaskOptions& options = {});
 
 /// Per-train delay tolerance of a fully timed schedule on a fixed layout.
 struct RobustnessReport {

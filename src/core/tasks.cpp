@@ -1,11 +1,13 @@
 #include "core/tasks.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <numeric>
 #include <optional>
 #include <string>
 #include <utility>
 
+#include "cnf/cardinality.hpp"
 #include "lint/rail_lint.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -24,6 +26,13 @@ std::string_view toString(OptimizeVerdict verdict) {
     return "unknown";
 }
 
+namespace {
+
+using Clock = std::chrono::steady_clock;
+
+/// The backend a task solves on: `backendFactory`'s when set, otherwise the
+/// internal solver or the portfolio as `threads` asks, with the `progress`
+/// hook attached.
 std::unique_ptr<cnf::SatBackend> makeBackend(const TaskOptions& options) {
     auto backend = options.backendFactory ? options.backendFactory()
                    : options.threads == 1
@@ -35,10 +44,6 @@ std::unique_ptr<cnf::SatBackend> makeBackend(const TaskOptions& options) {
     }
     return backend;
 }
-
-namespace {
-
-using Clock = std::chrono::steady_clock;
 
 double secondsSince(Clock::time_point start) {
     return std::chrono::duration<double>(Clock::now() - start).count();
@@ -306,12 +311,68 @@ GenerationResult generateLayoutWeighted(const Instance& instance,
     return result;
 }
 
+std::vector<TradeoffPoint> tradeoffCurve(const Instance& instance, int maxExtraBorders,
+                                         const TaskOptions& options) {
+    ETCS_REQUIRE_MSG(maxExtraBorders >= 0, "border budget must be non-negative");
+    // A budget of every candidate border (Encoder::freeBorderLiterals) or
+    // more is unconstrained; the sweep stops there.
+    const auto& graph = instance.graph();
+    int candidates = 0;
+    for (std::size_t n = 0; n < graph.numNodes(); ++n) {
+        candidates += graph.node(SegNodeId(n)).fixedBorder ? 0 : 1;
+    }
+    std::vector<TradeoffPoint> curve(
+        static_cast<std::size_t>(std::min(maxExtraBorders, candidates)) + 1);
+    for (std::size_t k = 0; k < curve.size(); ++k) {
+        curve[k].extraBorders = static_cast<int>(k);
+    }
+    const int lo = instance.completionLowerBound();
+    const int hi = instance.horizonSteps() - 1;
+    if (lo > hi) {
+        return curve;  // the horizon admits no completion: nothing to encode
+    }
+    const obs::Span span("task.tradeoff");
+    TaskStats stats;
+    (void)runTask(instance, options, "tradeoff", stats, [&](Session& session) {
+        Encoder& encoder = session.encoder;
+        encoder.encode(nullptr);
+        std::optional<cnf::Totalizer> totalizer;
+        if (candidates > 0) {
+            totalizer.emplace(*session.backend, encoder.freeBorderLiterals());
+        }
+        for (TradeoffPoint& point : curve) {
+            std::vector<cnf::Literal> budget;
+            if (point.extraBorders < candidates) {
+                budget.push_back(
+                    totalizer->atMostAssumption(static_cast<std::size_t>(point.extraBorders)));
+            }
+            const auto search = opt::smallestFeasibleIndex(
+                *session.backend, [&](int step) { return encoder.doneAllLiteral(step); }, lo,
+                hi, options.timeSearch, budget);
+            stats.solveCalls += search.solveCalls;
+            if (search.feasible) {
+                point.feasible = true;
+                point.completionSteps = search.index;
+                point.sectionCount = encoder.decode().sectionCount;
+            }
+        }
+        return false;  // every point decoded its own witness
+    });
+    return curve;
+}
+
 IndividualArrivalResult optimizeIndividualArrivals(const Instance& instance,
                                                    std::vector<std::size_t> priority,
                                                    const TaskOptions& options) {
     if (priority.empty()) {
         priority.resize(instance.numRuns());
         std::iota(priority.begin(), priority.end(), std::size_t{0});
+    }
+    std::vector<bool> listed(instance.numRuns(), false);
+    for (const std::size_t run : priority) {
+        ETCS_REQUIRE_MSG(run < listed.size() && !listed[run],
+                         "priority must list every run exactly once");
+        listed[run] = true;
     }
     ETCS_REQUIRE_MSG(priority.size() == instance.numRuns(),
                      "priority must list every run exactly once");

@@ -7,9 +7,10 @@
 ///                         (min sum !done^t), optionally followed by a
 ///                         lexicographic section minimization.
 /// plus variants of tasks 2 and 3 with other objectives: cost-weighted
-/// borders (generateLayoutWeighted) and per-train arrivals in priority order
-/// (optimizeIndividualArrivals). Every task runs one pipeline: the lint/reach
-/// gate, one backend with its Encoder, the objective, then decode.
+/// borders (generateLayoutWeighted), per-train arrivals in priority order
+/// (optimizeIndividualArrivals) and the borders-vs-completion trade-off
+/// curve (tradeoffCurve). Every task runs one pipeline: the lint/reach gate,
+/// one backend with its Encoder, the objective, then decode.
 #pragma once
 
 #include <cstdint>
@@ -69,11 +70,6 @@ struct TaskOptions {
     /// solver.
     bool lintInstance = true;
 };
-
-/// The backend a task solves on: `backendFactory`'s when set, otherwise the
-/// internal solver or the portfolio as `threads` asks, with the `progress`
-/// hook attached. The analyses of core/analysis.hpp solve on it too.
-[[nodiscard]] std::unique_ptr<cnf::SatBackend> makeBackend(const TaskOptions& options);
 
 /// Effort/size measurements common to all tasks (Table I columns), extended
 /// with the backend's solver counters so results carry the full cost profile.
@@ -176,5 +172,25 @@ struct IndividualArrivalResult {
 [[nodiscard]] IndividualArrivalResult optimizeIndividualArrivals(
     const Instance& instance, std::vector<std::size_t> priority = {},
     const TaskOptions& options = {});
+
+/// One point of the borders-vs-completion trade-off curve.
+struct TradeoffPoint {
+    int extraBorders = 0;     ///< budget: at most this many virtual borders
+    bool feasible = false;    ///< schedule completable within the horizon
+    int completionSteps = 0;  ///< minimal completion under the budget
+    int sectionCount = 0;     ///< sections of the witness layout
+};
+
+/// "How much does each additional virtual border buy?" For k =
+/// 0..maxExtraBorders: the minimal completion time achievable with at most k
+/// virtual borders (departures fixed, arrivals open), which quantifies the
+/// paper's claim that VSS unveil scheduling potential one border at a time.
+/// The curve is non-increasing in k and stops at the first k that admits
+/// every candidate border. Encodes once and sweeps budgets via solver
+/// assumptions; a horizon too short for any completion or a schedule the
+/// gate rejects gives all points infeasible without a formula.
+[[nodiscard]] std::vector<TradeoffPoint> tradeoffCurve(const Instance& instance,
+                                                       int maxExtraBorders,
+                                                       const TaskOptions& options = {});
 
 }  // namespace etcs::core

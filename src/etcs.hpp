@@ -12,7 +12,6 @@
 
 // SAT substrate
 #include "sat/dimacs.hpp"
-#include "sat/preprocess.hpp"
 #include "sat/solver.hpp"
 #include "sat/types.hpp"
 

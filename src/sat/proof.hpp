@@ -2,11 +2,11 @@
 /// DRAT proof logging for the SAT subsystem.
 ///
 /// A ProofWriter is a sink for clause additions and deletions in the DRAT
-/// clausal proof format. The solver and the preprocessor log every clause
-/// they derive (learnt clauses, strengthened clauses, propagated units,
-/// pure-literal assignments) and every clause they discard (learnt-DB
-/// reduction, subsumption), so an UNSAT answer can be certified by an
-/// independent checker (see drat_check.hpp) against the original formula.
+/// clausal proof format. The solver logs every clause it derives
+/// (normalized inputs, learnt clauses, propagated units) and every learnt
+/// clause it discards (learnt-DB reduction), so an UNSAT answer can be
+/// certified by an independent checker (see drat_check.hpp) against the
+/// original formula.
 ///
 /// Logging is strictly opt-in: components hold a `ProofWriter*` that is
 /// null by default, and every logging site is guarded by a single pointer

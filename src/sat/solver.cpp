@@ -394,22 +394,18 @@ void Solver::analyze(ClauseRef conflict, std::vector<Literal>& outLearnt,
 
     // Conflict-clause minimization: drop literals implied by the rest.
     analyzeToClear_.assign(outLearnt.begin(), outLearnt.end());
+    std::uint32_t abstractLevels = 0;
+    for (std::size_t i = 1; i < outLearnt.size(); ++i) {
+        abstractLevels |= abstractLevel(outLearnt[i].var());
+    }
     std::size_t kept = 1;
-    if (options_.minimizeLearned) {
-        std::uint32_t abstractLevels = 0;
-        for (std::size_t i = 1; i < outLearnt.size(); ++i) {
-            abstractLevels |= abstractLevel(outLearnt[i].var());
+    for (std::size_t i = 1; i < outLearnt.size(); ++i) {
+        const Literal q = outLearnt[i];
+        if (reason_[q.var()] == kInvalidClause || !literalRedundant(q, abstractLevels)) {
+            outLearnt[kept++] = q;
+        } else {
+            ++stats_.minimizedLiterals;
         }
-        for (std::size_t i = 1; i < outLearnt.size(); ++i) {
-            const Literal q = outLearnt[i];
-            if (reason_[q.var()] == kInvalidClause || !literalRedundant(q, abstractLevels)) {
-                outLearnt[kept++] = q;
-            } else {
-                ++stats_.minimizedLiterals;
-            }
-        }
-    } else {
-        kept = outLearnt.size();
     }
     outLearnt.resize(kept);
 
@@ -793,7 +789,7 @@ SolveStatus Solver::search(std::int64_t conflictBudget) {
             continue;
         }
 
-        if (options_.useRestarts && conflictBudget >= 0 && conflictsThisRestart >= conflictBudget) {
+        if (conflictsThisRestart >= conflictBudget) {
             cancelUntil(0);
             ++stats_.restarts;
             return SolveStatus::Unknown;  // restart
@@ -849,6 +845,7 @@ SolveStatus Solver::solve(std::span<const Literal> assumptions) {
         ETCS_REQUIRE_MSG(l.valid() && l.var() < numVariables(),
                          "assumption references unknown variable");
     }
+    ETCS_REQUIRE_MSG(options_.restartBase >= 1, "restartBase must be positive");
     if (maxLearnts_ <= 0.0) {
         maxLearnts_ = std::max(options_.learntSizeFloor,
                                static_cast<double>(clauses_.size()) * options_.learntSizeFactor);
@@ -865,11 +862,7 @@ SolveStatus Solver::solve(std::span<const Literal> assumptions) {
                 return SolveStatus::Unsat;
             }
         }
-        const std::int64_t budget =
-            options_.useRestarts
-                ? static_cast<std::int64_t>(luby(options_.restartBase, restart))
-                : -1;
-        status = search(budget);
+        status = search(static_cast<std::int64_t>(luby(options_.restartBase, restart)));
         if (cancelled_) {
             break;  // progress callback requested cancellation
         }

@@ -201,13 +201,15 @@ private:
     void bumpVariable(Var v);
     void bumpClause(Clause c);
     void decayVariableActivity() { variableIncrement_ /= options_.variableDecay; }
-    void decayClauseActivity() { clauseIncrement_ /= options_.clauseDecay; }
+    void decayClauseActivity() { clauseIncrement_ /= kClauseDecay; }
     void rescaleVariableActivity();
     void rescaleClauseActivity();
     [[nodiscard]] std::uint32_t abstractLevel(Var v) const noexcept {
         return 1u << (level_[v] & 31);
     }
     void storeModel();
+
+    static constexpr double kClauseDecay = 0.999;  ///< learned-clause activity decay
 
     SolverOptions options_;
     SolverStats stats_;

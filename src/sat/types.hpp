@@ -133,11 +133,8 @@ using ImportCallback = std::function<void(std::vector<std::vector<Literal>>&)>;
 /// Tunable solver behaviour; defaults follow MiniSat-era practice.
 struct SolverOptions {
     double variableDecay = 0.95;       ///< EVSIDS decay per conflict.
-    double clauseDecay = 0.999;        ///< learned-clause activity decay.
     bool phaseSaving = true;           ///< reuse last assigned polarity.
-    bool minimizeLearned = true;       ///< conflict-clause minimization.
-    bool useRestarts = true;           ///< Luby restarts.
-    int restartBase = 100;             ///< conflicts per Luby unit.
+    int restartBase = 100;             ///< conflicts per Luby unit (>= 1).
     double learntSizeFactor = 0.33;    ///< initial learnt DB limit / #clauses.
     double learntSizeFloor = 1000.0;   ///< minimum learnt DB limit (tests lower
                                        ///< it to force reductions on small inputs).

@@ -5,6 +5,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <utility>
 
@@ -13,6 +14,7 @@
 #include "obs/metrics.hpp"
 #include "studies/studies.hpp"
 #include "support/cancelling_backend.hpp"
+#include "support/forwarding_backend.hpp"
 
 namespace etcs::core {
 namespace {
@@ -171,6 +173,84 @@ TEST_F(AnalysisFixture, TradeoffRejectsNegativeBudget) {
     EXPECT_THROW((void)tradeoffCurve(open, -1), PreconditionError);
 }
 
+/// Counts the clauses handed to every backend its factory builds.
+class ClauseCountingBackend final : public test::ForwardingBackend {
+public:
+    explicit ClauseCountingBackend(std::size_t& clauses) : clauses_(&clauses) {}
+
+    using test::ForwardingBackend::addClause;
+
+    void addClause(std::span<const cnf::Literal> literals) override {
+        ++*clauses_;
+        test::ForwardingBackend::addClause(literals);
+    }
+
+private:
+    std::size_t* clauses_;
+};
+
+/// tradeoffCurve runs the task pipeline: a horizon too short for any
+/// completion, or a schedule the lint/reach gate refutes, gives every point
+/// infeasible without emitting a clause.
+TEST_F(AnalysisFixture, TradeoffCurveWithoutACompletionEmitsNoFormula) {
+    std::size_t clauses = 0;
+    TaskOptions counting;
+    counting.backendFactory = [&clauses] {
+        return std::make_unique<ClauseCountingBackend>(clauses);
+    };
+    const auto expectNoFormula = [&](const Instance& instance) {
+        clauses = 0;
+        const auto curve = tradeoffCurve(instance, 2, counting);
+        EXPECT_EQ(clauses, 0U);
+        ASSERT_EQ(curve.size(), 3U);
+        for (std::size_t k = 0; k < curve.size(); ++k) {
+            EXPECT_EQ(curve[k].extraBorders, static_cast<int>(k));
+            EXPECT_FALSE(curve[k].feasible);
+        }
+    };
+
+    rail::Schedule shortened = study.openSchedule;
+    shortened.setHorizon(Seconds(study.resolution.temporal.count() * 3));
+    const Instance tooShort(study.network, study.trains, shortened, study.resolution);
+    ASSERT_EQ(tooShort.horizonSteps(), 4);
+    ASSERT_GT(tooShort.completionLowerBound(), tooShort.horizonSteps() - 1);
+    {
+        SCOPED_TRACE("horizon too short");
+        expectNoFormula(tooShort);
+    }
+
+    // The first run due at its destination one step after it departs: the
+    // gate proves that infeasible before anything is encoded.
+    const rail::Schedule& timedSchedule = study.timedSchedule;
+    rail::TrainRun first = timedSchedule.runs().front();
+    first.stops.back().arrival = first.departure + study.resolution.temporal;
+    rail::Schedule gated;
+    gated.addRun(std::move(first));
+    for (std::size_t r = 1; r < timedSchedule.size(); ++r) {
+        gated.addRun(timedSchedule.runs()[r]);
+    }
+    gated.setHorizon(timedSchedule.horizon());
+    const Instance refuted(study.network, study.trains, gated, study.resolution);
+    ASSERT_LE(refuted.completionLowerBound(), refuted.horizonSteps() - 1);
+    auto& registry = obs::Registry::global();
+    const auto rejections = [&] {
+        return registry.counter("etcs.task.tradeoff.lint_rejected").value() +
+               registry.counter("etcs.task.tradeoff.reach_rejected").value();
+    };
+    const auto before = rejections();
+    {
+        SCOPED_TRACE("gate rejects");
+        expectNoFormula(refuted);
+    }
+    EXPECT_EQ(rejections(), before + 1);
+
+    // The same counting backend does see the formula of a curve that solves.
+    clauses = 0;
+    const auto curve = tradeoffCurve(open, 2, counting);
+    EXPECT_GT(clauses, 0U);
+    EXPECT_TRUE(curve.back().feasible);
+}
+
 TEST_F(AnalysisFixture, RobustnessRequiresTimedSchedule) {
     const VssLayout pure(open.graph());
     EXPECT_THROW((void)delayRobustness(open, pure, 2), PreconditionError);
@@ -274,6 +354,23 @@ TEST_F(AnalysisFixture, IndividualArrivalsReportSolverWork) {
 
 TEST_F(AnalysisFixture, IndividualArrivalsRejectBadPriority) {
     EXPECT_THROW((void)optimizeIndividualArrivals(open, {0, 1}), PreconditionError);
+}
+
+/// The priority list must be a permutation of the runs: a repeated run
+/// would leave another run unoptimized, and an unknown one has no arrival.
+TEST_F(AnalysisFixture, IndividualArrivalsRequireAPermutation) {
+    ASSERT_EQ(open.numRuns(), 4U);
+    EXPECT_THROW((void)optimizeIndividualArrivals(open, {0, 0, 1, 2}), PreconditionError);
+    EXPECT_THROW((void)optimizeIndividualArrivals(open, {0, 1, 2, 7}), PreconditionError);
+
+    // An empty list still means schedule order.
+    const auto scheduleOrder = optimizeIndividualArrivals(open, {0, 1, 2, 3});
+    const auto empty = optimizeIndividualArrivals(open, {});
+    ASSERT_TRUE(empty.feasible);
+    EXPECT_EQ(empty.doneSteps, scheduleOrder.doneSteps);
+    for (const int done : empty.doneSteps) {
+        EXPECT_GE(done, 0);
+    }
 }
 
 /// The analyses solve on the tasks' backend, so TaskOptions::threads reaches

@@ -444,6 +444,19 @@ TEST(EtcsgenCli, MissingRequiredFlagsExitsTwo) {
     EXPECT_EQ(run(kEtcsgen + " --family corridor").exitCode, 2);
 }
 
+/// Integer flags must be wholly a number in range: "4294967298" used to
+/// wrap to a size of 2 instead of being rejected.
+TEST(EtcsgenCli, MalformedNumbersAreUsageErrors) {
+    const std::string out = " --out " + testing::TempDir();
+    for (const char* flags : {"--size 4294967298", "--trains 4294967298", "--size 3x",
+                              "--seed abc", "--rs 500m"}) {
+        SCOPED_TRACE(flags);
+        const auto result = run(kEtcsgen + " --family corridor --seed 1 " + flags + out);
+        EXPECT_EQ(result.exitCode, 2) << result.output;
+        EXPECT_NE(result.output.find("error: --"), std::string::npos) << result.output;
+    }
+}
+
 TEST(EtcsgenCli, UnwritableOutputExitsTwo) {
     const auto result =
         run(kEtcsgen + " --family corridor --seed 1 --out /nonexistent_dir");
@@ -520,13 +533,67 @@ TEST(EtcsCli, RemovedSolveModeFlagIsAUsageError) {
 TEST(SatSolveCli, RemovedSolveModeFlagsAreUsageErrors) {
     const std::string cnf =
         writeTempFile("sat_solve_removed_flags.cnf", "p cnf 2 2\n1 2 0\n-1 0\n");
-    for (const char* flag : {"--cegar", "--unroll"}) {
+    for (const char* flag : {"--cegar", "--unroll", "--preprocess", "--no-restarts"}) {
         SCOPED_TRACE(flag);
         const auto result = run(kSatSolve + " " + flag + " " + cnf);
         EXPECT_EQ(result.exitCode, 2) << result.output;
         EXPECT_NE(result.output.find("usage: sat_solve"), std::string::npos) << result.output;
     }
     std::remove(cnf.c_str());
+}
+
+/// Numeric flags are parsed strictly: a value that is not wholly a number
+/// is a usage error (exit 2 and the usage message), never a prefix or 0.
+TEST(EtcsCli, MalformedNumbersAreUsageErrors) {
+    const std::string files =
+        kEtcsCli + " verify " + kData + "/running_example.rail " + kData +
+        "/running_example.sched ";
+    for (const char* flags : {"--rs 500 --rt 30 --threads abc", "--rs 500 --rt 30 --threads 2x",
+                              "--rs 500m --rt 30", "--rs 500 --rt 30s", "--rs abc --rt 30"}) {
+        SCOPED_TRACE(flags);
+        const auto result = run(files + flags);
+        EXPECT_EQ(result.exitCode, 2) << result.output;
+        EXPECT_NE(result.output.find("usage: etcs_cli"), std::string::npos) << result.output;
+        EXPECT_EQ(result.output.find("solver:"), std::string::npos) << result.output;
+    }
+}
+
+TEST(EtcsExplainCli, MalformedNumbersAreUsageErrors) {
+    const std::string files =
+        kExplain + " " + kData + "/running_example.rail " + kData + "/running_example.sched ";
+    for (const char* flags : {"--rs 500m --rt 30", "--rs 500 --rt 30s", "--rs 500 --rt abc"}) {
+        SCOPED_TRACE(flags);
+        const auto result = run(files + flags);
+        EXPECT_EQ(result.exitCode, 2) << result.output;
+        EXPECT_NE(result.output.find("usage: etcs_explain"), std::string::npos)
+            << result.output;
+    }
+}
+
+TEST(SatSolveCli, MalformedThreadCountsAreUsageErrors) {
+    const std::string cnf =
+        writeTempFile("sat_solve_bad_threads.cnf", "p cnf 2 2\n1 2 0\n-1 0\n");
+    for (const char* count : {"abc", "2x", "-1", ""}) {
+        SCOPED_TRACE(count);
+        const auto result = run(kSatSolve + " --threads '" + count + "' " + cnf);
+        EXPECT_EQ(result.exitCode, 2) << result.output;
+        EXPECT_NE(result.output.find("usage: sat_solve"), std::string::npos) << result.output;
+        EXPECT_EQ(result.output.find("portfolio"), std::string::npos) << result.output;
+    }
+    std::remove(cnf.c_str());
+}
+
+TEST(BenchdiffCli, MalformedThresholdIsAUsageError) {
+    const std::string bench = writeTempFile(
+        "cli_test_bench_threshold.json",
+        R"({"gauges":{"table1.simple.verify.runtime_seconds":1.5}})");
+    for (const char* threshold : {"abc", "0.2x", "-0.5"}) {
+        SCOPED_TRACE(threshold);
+        const auto result =
+            run(kBenchdiff + " --threshold " + threshold + " " + bench + " " + bench);
+        EXPECT_EQ(result.exitCode, 2) << result.output;
+        EXPECT_NE(result.output.find("usage: benchdiff"), std::string::npos) << result.output;
+    }
 }
 
 }  // namespace

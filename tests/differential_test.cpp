@@ -1,12 +1,11 @@
 // Differential correctness harness for the SAT core.
 //
-// Every instance is pushed through several independently implemented
-// pipelines — the internal CDCL solver, the preprocessor + solver
-// combination, and (when compiled in) Z3 — and the verdicts are
+// Every instance is pushed through independently implemented pipelines —
+// the internal CDCL solver and (when compiled in) Z3 — and the verdicts are
 // cross-checked. SAT verdicts are validated by evaluating the model against
-// the original formula; UNSAT verdicts are certified by checking the
-// emitted DRAT proof with the independent backward checker, including runs
-// with preprocessing and forced clause-database reductions.
+// the formula; UNSAT verdicts are certified by checking the emitted DRAT
+// proof with the independent backward checker, including runs with forced
+// clause-database reductions.
 #include <gtest/gtest.h>
 
 #include <random>
@@ -18,7 +17,6 @@
 #include "core/instance.hpp"
 #include "sat/dimacs.hpp"
 #include "sat/drat_check.hpp"
-#include "sat/preprocess.hpp"
 #include "sat/proof.hpp"
 #include "sat/solver.hpp"
 #include "studies/studies.hpp"
@@ -41,7 +39,7 @@ struct PipelineResult {
     DratProof proof;           ///< populated when a proof writer was attached
 };
 
-/// Pipeline A: the solver alone, logging a DRAT proof.
+/// The internal solver, logging a DRAT proof.
 PipelineResult solvePlain(const CnfFormula& f, const SolverOptions* options = nullptr) {
     PipelineResult result;
     MemoryProofWriter proof;
@@ -67,47 +65,8 @@ PipelineResult solvePlain(const CnfFormula& f, const SolverOptions* options = nu
     return result;
 }
 
-/// Pipeline B: preprocessor + solver sharing one proof, model re-extended
-/// with the preprocessor's fixed and pure literals.
-PipelineResult solvePreprocessed(const CnfFormula& original) {
-    PipelineResult result;
-    MemoryProofWriter proof;
-    CnfFormula simplified = original;
-    const PreprocessResult pre = preprocess(simplified, &proof);
-    if (pre.unsatisfiable) {
-        result.status = SolveStatus::Unsat;
-        result.proof = proof.takeProof();
-        return result;
-    }
-    Solver solver;
-    solver.setProofWriter(&proof);
-    for (int v = 0; v < original.numVariables; ++v) {
-        solver.addVariable();
-    }
-    for (const auto& clause : simplified.clauses) {
-        solver.addClause(clause);
-    }
-    result.status = solver.solve();
-    if (result.status == SolveStatus::Sat) {
-        result.model.resize(static_cast<std::size_t>(original.numVariables));
-        for (Var v = 0; v < original.numVariables; ++v) {
-            result.model[static_cast<std::size_t>(v)] = solver.modelValue(v);
-        }
-        for (Literal l : pre.fixedLiterals) {
-            result.model[static_cast<std::size_t>(l.var())] =
-                l.sign() ? Value::False : Value::True;
-        }
-        for (Literal l : pre.pureLiterals) {
-            result.model[static_cast<std::size_t>(l.var())] =
-                l.sign() ? Value::False : Value::True;
-        }
-    }
-    result.proof = proof.takeProof();
-    return result;
-}
-
 #ifdef ETCS_HAVE_Z3
-/// Pipeline C: Z3, a fully independent solver implementation.
+/// Z3, a fully independent solver implementation.
 SolveStatus solveZ3(const CnfFormula& f) {
     const auto backend = cnf::makeZ3Backend();
     for (int v = 0; v < f.numVariables; ++v) {
@@ -138,9 +97,7 @@ TEST_P(DifferentialTest, PipelinesAgreeAndVerdictsAreCertified) {
         const CnfFormula f = makeRandomFormula(rng, numVariables, numClauses, clauseSize);
 
         const PipelineResult plain = solvePlain(f);
-        const PipelineResult preprocessed = solvePreprocessed(f);
         ASSERT_NE(plain.status, SolveStatus::Unknown);
-        ASSERT_EQ(plain.status, preprocessed.status);
 #ifdef ETCS_HAVE_Z3
         ASSERT_EQ(plain.status, solveZ3(f));
 #endif
@@ -148,11 +105,9 @@ TEST_P(DifferentialTest, PipelinesAgreeAndVerdictsAreCertified) {
         if (plain.status == SolveStatus::Sat) {
             ++satCount;
             EXPECT_TRUE(modelSatisfies(f, plain.model));
-            EXPECT_TRUE(modelSatisfies(f, preprocessed.model));
         } else {
             ++unsatCount;
             EXPECT_TRUE(proofCertifies(f, plain.proof));
-            EXPECT_TRUE(proofCertifies(f, preprocessed.proof));
         }
     }
     // The sweep spans under- and over-constrained densities; every batch
@@ -266,15 +221,11 @@ TEST_P(EncoderDifferentialTest, VerdictsMatchAndProofsCertify) {
     ASSERT_EQ(sat.status, SolveStatus::Sat);
     EXPECT_TRUE(modelSatisfies(encoded.sat, sat.model));
 
-    // Pinning completion below its lower bound is UNSAT — and every
-    // pipeline's refutation must be certified by the checker.
+    // Pinning completion below its lower bound is UNSAT — and the
+    // refutation must be certified by the checker.
     const PipelineResult plain = solvePlain(encoded.unsat);
     ASSERT_EQ(plain.status, SolveStatus::Unsat);
     EXPECT_TRUE(proofCertifies(encoded.unsat, plain.proof));
-
-    const PipelineResult preprocessed = solvePreprocessed(encoded.unsat);
-    ASSERT_EQ(preprocessed.status, SolveStatus::Unsat);
-    EXPECT_TRUE(proofCertifies(encoded.unsat, preprocessed.proof));
 
     // With forced clause-DB reductions on top.
     SolverOptions options;

@@ -45,7 +45,7 @@ TEST(Dimacs, RoundTrip) {
 
 TEST(Dimacs, ParsesEmptyClause) {
     // A bare "0" is the empty clause — trivially unsatisfiable, but legal
-    // DIMACS and exactly what a preprocessor emits for refuted inputs.
+    // DIMACS.
     std::istringstream in("p cnf 2 2\n1 2 0\n0\n");
     const CnfFormula f = readDimacs(in);
     ASSERT_EQ(f.clauses.size(), 2u);

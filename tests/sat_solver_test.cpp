@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "sat/solver.hpp"
+#include "support/formula_helpers.hpp"
 
 namespace etcs::sat {
 namespace {
@@ -230,10 +231,10 @@ TEST(Solver, ConflictLimitReturnsUnknown) {
     EXPECT_EQ(s.solve(), SolveStatus::Unknown);
 }
 
-TEST(Solver, WorksWithoutRestartsAndMinimization) {
+TEST(Solver, WorksWithoutPhaseSaving) {
+    // The portfolio's diversity table switches phase saving off for some
+    // workers, so every decision takes the default polarity.
     Solver s;
-    s.options().useRestarts = false;
-    s.options().minimizeLearned = false;
     s.options().phaseSaving = false;
     std::vector<Var> x;
     for (int i = 0; i < 40; ++i) {
@@ -243,7 +244,23 @@ TEST(Solver, WorksWithoutRestartsAndMinimization) {
         s.addClause({pos(x[i]), pos(x[i + 1])});
         s.addClause({neg(x[i]), neg(x[i + 1])});
     }
-    EXPECT_EQ(s.solve(), SolveStatus::Sat);
+    ASSERT_EQ(s.solve(), SolveStatus::Sat);
+    for (int i = 0; i + 1 < 40; i += 2) {
+        EXPECT_NE(s.modelValue(x[i]), s.modelValue(x[i + 1]));
+    }
+
+    // A refutation that needs learning and restarts: pigeonhole 7 into 6.
+    const CnfFormula php = etcs::test::pigeonhole(7, 6);
+    Solver unsat;
+    unsat.options().phaseSaving = false;
+    for (int v = 0; v < php.numVariables; ++v) {
+        unsat.addVariable();
+    }
+    for (const auto& clause : php.clauses) {
+        unsat.addClause(clause);
+    }
+    EXPECT_EQ(unsat.solve(), SolveStatus::Unsat);
+    EXPECT_GT(unsat.stats().restarts, 0u);
 }
 
 TEST(Solver, ManySolveCallsWithVaryingAssumptions) {
@@ -283,6 +300,17 @@ TEST(Solver, RejectsUnknownVariableInAssumption) {
     Solver s;
     s.addVariable();
     EXPECT_THROW(s.solve({pos(5)}), PreconditionError);
+}
+
+/// Luby restarts are always on, so a restart unit below one conflict would
+/// restart before every decision.
+TEST(Solver, RejectsNonPositiveRestartBase) {
+    Solver s;
+    s.addClause({pos(s.addVariable())});
+    s.options().restartBase = -1;
+    EXPECT_THROW(s.solve(), PreconditionError);
+    s.options().restartBase = 1;
+    EXPECT_EQ(s.solve(), SolveStatus::Sat);
 }
 
 }  // namespace

@@ -24,6 +24,7 @@
 
 #include "util/error.hpp"
 #include "util/json.hpp"
+#include "util/parse.hpp"
 
 namespace {
 
@@ -89,11 +90,13 @@ int main(int argc, char** argv) {
     std::vector<std::string> files;
     for (int i = 1; i < argc; ++i) {
         if (std::strcmp(argv[i], "--threshold") == 0 && i + 1 < argc) {
-            threshold = std::atof(argv[++i]);
-            if (!(threshold >= 0.0)) {
+            const auto fraction = etcs::util::parseNumber<double>(argv[++i]);
+            if (!fraction || !(*fraction >= 0.0)) {
                 std::cerr << "error: --threshold expects a nonnegative fraction\n";
+                usage();
                 return 2;
             }
+            threshold = *fraction;
         } else if (std::strcmp(argv[i], "--pattern") == 0 && i + 1 < argc) {
             patterns.emplace_back(argv[++i]);
         } else if (argv[i][0] == '-') {

@@ -26,6 +26,7 @@
 #include "railway/io.hpp"
 #include "sat/dimacs.hpp"
 #include "sat/proof.hpp"
+#include "util/parse.hpp"
 
 using namespace etcs;
 
@@ -74,9 +75,19 @@ std::optional<Options> parseArguments(int argc, char** argv) {
             return std::nullopt;
         }
         if (std::strcmp(argv[i], "--rs") == 0) {
-            options.spatial = Meters(std::atoll(argv[i + 1]));
+            const auto metres = util::parseNumber<std::int64_t>(argv[i + 1]);
+            if (!metres) {
+                std::cerr << "error: --rs expects a whole number of metres\n";
+                return std::nullopt;
+            }
+            options.spatial = Meters(*metres);
         } else if (std::strcmp(argv[i], "--rt") == 0) {
-            options.temporal = Seconds(std::atoll(argv[i + 1]));
+            const auto seconds = util::parseNumber<std::int64_t>(argv[i + 1]);
+            if (!seconds) {
+                std::cerr << "error: --rt expects a whole number of seconds\n";
+                return std::nullopt;
+            }
+            options.temporal = Seconds(*seconds);
         } else if (std::strcmp(argv[i], "--out") == 0) {
             options.outFile = argv[i + 1];
         } else if (std::strcmp(argv[i], "--cnf-out") == 0) {

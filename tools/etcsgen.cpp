@@ -19,6 +19,7 @@
 /// Exit code: 0 = all instances written, 2 = usage or I/O error.
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <optional>
 #include <string>
 #include <vector>
@@ -30,6 +31,7 @@
 #include "gen/generator.hpp"
 #include "railway/io.hpp"
 #include "sat/dimacs.hpp"
+#include "util/parse.hpp"
 
 namespace {
 
@@ -38,16 +40,6 @@ void printUsage(std::ostream& os) {
           "               [--schedule <feasible|tight|infeasible|all>]\n"
           "               [--rs <metres>] [--rt <seconds>] [--out <dir>] [--dimacs]\n"
           "  families: corridor station junction ring single_track network\n";
-}
-
-bool parseInt(const std::string& text, long long& out) {
-    try {
-        std::size_t used = 0;
-        out = std::stoll(text, &used);
-        return used == text.size();
-    } catch (const std::exception&) {
-        return false;
-    }
 }
 
 }  // namespace
@@ -74,7 +66,12 @@ int main(int argc, char** argv) {
             }
             return std::string(argv[++i]);
         };
-        long long number = 0;
+        // The flag's value as an integer: nullopt when it is missing or not
+        // wholly a number.
+        auto integer = [&](const char* flag) -> std::optional<long long> {
+            const auto v = value(flag);
+            return v ? etcs::util::parseNumber<long long>(*v) : std::nullopt;
+        };
         if (arg == "-h" || arg == "--help") {
             printUsage(std::cout);
             return 0;
@@ -110,41 +107,41 @@ int main(int argc, char** argv) {
                 return 2;
             }
         } else if (arg == "--seed") {
-            const auto v = value("--seed");
-            if (!v || !parseInt(*v, number) || number < 0) {
+            const auto number = integer("--seed");
+            if (!number || *number < 0) {
                 std::cerr << "error: --seed expects a nonnegative integer\n";
                 return 2;
             }
-            base.seed = static_cast<std::uint64_t>(number);
+            base.seed = static_cast<std::uint64_t>(*number);
             sawSeed = true;
         } else if (arg == "--size") {
-            const auto v = value("--size");
-            if (!v || !parseInt(*v, number) || number < 1) {
+            const auto number = integer("--size");
+            if (!number || *number < 1 || *number > std::numeric_limits<int>::max()) {
                 std::cerr << "error: --size expects a positive integer\n";
                 return 2;
             }
-            base.size = static_cast<int>(number);
+            base.size = static_cast<int>(*number);
         } else if (arg == "--trains") {
-            const auto v = value("--trains");
-            if (!v || !parseInt(*v, number) || number < 0) {
+            const auto number = integer("--trains");
+            if (!number || *number < 0 || *number > std::numeric_limits<int>::max()) {
                 std::cerr << "error: --trains expects a nonnegative integer\n";
                 return 2;
             }
-            base.trains = static_cast<int>(number);
+            base.trains = static_cast<int>(*number);
         } else if (arg == "--rs") {
-            const auto v = value("--rs");
-            if (!v || !parseInt(*v, number) || number < 1) {
+            const auto number = integer("--rs");
+            if (!number || *number < 1) {
                 std::cerr << "error: --rs expects a positive metre count\n";
                 return 2;
             }
-            base.resolution.spatial = etcs::Meters(number);
+            base.resolution.spatial = etcs::Meters(*number);
         } else if (arg == "--rt") {
-            const auto v = value("--rt");
-            if (!v || !parseInt(*v, number) || number < 1) {
+            const auto number = integer("--rt");
+            if (!number || *number < 1) {
                 std::cerr << "error: --rt expects a positive second count\n";
                 return 2;
             }
-            base.resolution.temporal = etcs::Seconds(number);
+            base.resolution.temporal = etcs::Seconds(*number);
         } else if (arg == "--out") {
             const auto v = value("--out");
             if (!v) {
