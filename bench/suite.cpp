@@ -46,15 +46,7 @@ std::vector<BackendSpec> backends() {
     {
         BackendSpec internal;
         internal.name = "internal";
-        internal.options.threads = 1;
         specs.push_back(internal);
-    }
-    {
-        BackendSpec portfolio;
-        portfolio.name = "portfolio2";
-        portfolio.options.threads = 2;
-        portfolio.options.deterministicPortfolio = true;
-        specs.push_back(portfolio);
     }
 #ifdef ETCS_HAVE_Z3
     {

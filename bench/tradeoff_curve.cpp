@@ -19,7 +19,7 @@ bool printCurve(const studies::CaseStudy& study, int maxBudget) {
     std::cout << study.name << " (horizon " << open.horizonSteps() << " steps):\n\n"
               << std::right << std::setw(14) << "extra borders" << std::setw(10) << "feasible"
               << std::setw(12) << "completion" << std::setw(10) << "sections" << "\n";
-    const auto curve = core::tradeoffCurve(open, maxBudget);
+    const auto curve = core::tradeoffCurve(open, maxBudget).points;
     bool monotone = true;
     int previous = -1;
     for (const auto& point : curve) {

@@ -43,13 +43,12 @@ struct CliOptions {
     bool pureLayout = false;
     bool explain = false;
     std::optional<std::string> explainJsonFile;
-    int threads = 1;
 };
 
 void usage() {
     std::cerr << "usage: etcs_cli <verify|generate|optimize|encode> <network.rail> "
                  "<scenario.sched> --rs <meters> --rt <seconds> [--dot <file>] "
-                 "[--cnf <file>] [--pure] [--threads <n>] [--explain] "
+                 "[--cnf <file>] [--pure] [--explain] "
                  "[--explain-json <file>]\n";
 }
 
@@ -94,13 +93,6 @@ std::optional<CliOptions> parseArguments(int argc, char** argv) {
         } else if (std::strcmp(argv[i], "--explain-json") == 0) {
             options.explainJsonFile = argv[i + 1];
             options.explain = true;
-        } else if (std::strcmp(argv[i], "--threads") == 0) {
-            const auto threads = util::parseNumber<int>(argv[i + 1]);
-            if (!threads || *threads < 0) {
-                std::cerr << "error: --threads expects a count >= 0\n";
-                return std::nullopt;
-            }
-            options.threads = *threads;
         } else {
             return std::nullopt;
         }
@@ -197,16 +189,9 @@ int main(int argc, char** argv) {
                       << " layout)\n";
             return 0;
         }
-        core::TaskOptions taskOptions;
-        taskOptions.threads = options->threads;
-        if (options->threads != 1) {
-            std::cout << "solver: portfolio with "
-                      << (options->threads == 0 ? "auto" : std::to_string(options->threads))
-                      << " workers\n";
-        }
         if (options->command == "verify") {
             const core::VssLayout pure(instance.graph());
-            const auto result = core::verifySchedule(instance, pure, taskOptions);
+            const auto result = core::verifySchedule(instance, pure);
             std::cout << "verification on the pure TTD layout ("
                       << pure.sectionCount(instance.graph()) << " sections): "
                       << (result.feasible ? "FEASIBLE" : "INFEASIBLE") << " ["
@@ -218,7 +203,7 @@ int main(int argc, char** argv) {
             return result.feasible ? 0 : 1;
         }
         if (options->command == "generate") {
-            const auto result = core::generateLayout(instance, taskOptions);
+            const auto result = core::generateLayout(instance);
             if (!result.feasible) {
                 std::cout << "no VSS layout can realize this schedule\n";
                 maybeExplain(*options, instance, nullptr);
@@ -232,7 +217,7 @@ int main(int argc, char** argv) {
             return 0;
         }
         // optimize
-        const auto result = core::optimizeSchedule(instance, taskOptions);
+        const auto result = core::optimizeSchedule(instance);
         if (result.verdict == core::OptimizeVerdict::HorizonTooShort) {
             std::cout << "the scenario horizon (" << instance.horizonSteps()
                       << " steps) is shorter than any possible completion (step "

@@ -13,7 +13,6 @@
 #include <string>
 #include <vector>
 
-#include "sat/portfolio.hpp"
 #include "sat/types.hpp"
 
 namespace etcs::sat {
@@ -90,8 +89,8 @@ public:
 /// totalizer output — as the negation of a fresh variable.
 ///
 /// Contract relied on: the internal CDCL solver decides a fresh variable
-/// *true* first (SolverOptions::defaultPolarity = false seeds the saved phase
-/// with 0, and Solver::pickBranchLiteral then returns the positive literal).
+/// *true* first (Solver seeds every saved phase with 0, and
+/// Solver::pickBranchLiteral then returns the positive literal).
 /// The returned literal is therefore tried false until phase saving or
 /// propagation says otherwise, so a minimization's first model starts near
 /// the optimum instead of with every objective literal raised. Only the sign
@@ -103,17 +102,6 @@ public:
 
 /// Create the built-in CDCL backend.
 [[nodiscard]] std::unique_ptr<SatBackend> makeInternalBackend();
-
-/// Create the parallel portfolio backend (see sat/portfolio.hpp and
-/// docs/PARALLEL.md): `threads` diversified CDCL workers with clause sharing
-/// and first-winner cancellation. threads <= 0 picks the hardware
-/// concurrency; `deterministic` selects the reproducible lock-step mode.
-[[nodiscard]] std::unique_ptr<SatBackend> makePortfolioBackend(int threads,
-                                                               bool deterministic = false);
-
-/// Portfolio backend with full control over the portfolio policy.
-[[nodiscard]] std::unique_ptr<SatBackend> makePortfolioBackend(
-    sat::PortfolioOptions options);
 
 #ifdef ETCS_HAVE_Z3
 /// Create the Z3 cross-check backend (only compiled when libz3 is found).

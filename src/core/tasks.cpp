@@ -31,14 +31,10 @@ namespace {
 using Clock = std::chrono::steady_clock;
 
 /// The backend a task solves on: `backendFactory`'s when set, otherwise the
-/// internal solver or the portfolio as `threads` asks, with the `progress`
-/// hook attached.
+/// internal solver, with the `progress` hook attached.
 std::unique_ptr<cnf::SatBackend> makeBackend(const TaskOptions& options) {
-    auto backend = options.backendFactory ? options.backendFactory()
-                   : options.threads == 1
-                       ? cnf::makeInternalBackend()
-                       : cnf::makePortfolioBackend(options.threads,
-                                                   options.deterministicPortfolio);
+    auto backend =
+        options.backendFactory ? options.backendFactory() : cnf::makeInternalBackend();
     if (options.progress) {
         backend->setProgressCallback(options.progress, options.progressIntervalConflicts);
     }
@@ -311,8 +307,8 @@ GenerationResult generateLayoutWeighted(const Instance& instance,
     return result;
 }
 
-std::vector<TradeoffPoint> tradeoffCurve(const Instance& instance, int maxExtraBorders,
-                                         const TaskOptions& options) {
+TradeoffCurve tradeoffCurve(const Instance& instance, int maxExtraBorders,
+                            const TaskOptions& options) {
     ETCS_REQUIRE_MSG(maxExtraBorders >= 0, "border budget must be non-negative");
     // A budget of every candidate border (Encoder::freeBorderLiterals) or
     // more is unconstrained; the sweep stops there.
@@ -321,10 +317,10 @@ std::vector<TradeoffPoint> tradeoffCurve(const Instance& instance, int maxExtraB
     for (std::size_t n = 0; n < graph.numNodes(); ++n) {
         candidates += graph.node(SegNodeId(n)).fixedBorder ? 0 : 1;
     }
-    std::vector<TradeoffPoint> curve(
-        static_cast<std::size_t>(std::min(maxExtraBorders, candidates)) + 1);
-    for (std::size_t k = 0; k < curve.size(); ++k) {
-        curve[k].extraBorders = static_cast<int>(k);
+    TradeoffCurve curve;
+    curve.points.resize(static_cast<std::size_t>(std::min(maxExtraBorders, candidates)) + 1);
+    for (std::size_t k = 0; k < curve.points.size(); ++k) {
+        curve.points[k].extraBorders = static_cast<int>(k);
     }
     const int lo = instance.completionLowerBound();
     const int hi = instance.horizonSteps() - 1;
@@ -332,15 +328,14 @@ std::vector<TradeoffPoint> tradeoffCurve(const Instance& instance, int maxExtraB
         return curve;  // the horizon admits no completion: nothing to encode
     }
     const obs::Span span("task.tradeoff");
-    TaskStats stats;
-    (void)runTask(instance, options, "tradeoff", stats, [&](Session& session) {
+    (void)runTask(instance, options, "tradeoff", curve.stats, [&](Session& session) {
         Encoder& encoder = session.encoder;
         encoder.encode(nullptr);
         std::optional<cnf::Totalizer> totalizer;
         if (candidates > 0) {
             totalizer.emplace(*session.backend, encoder.freeBorderLiterals());
         }
-        for (TradeoffPoint& point : curve) {
+        for (TradeoffPoint& point : curve.points) {
             std::vector<cnf::Literal> budget;
             if (point.extraBorders < candidates) {
                 budget.push_back(
@@ -349,7 +344,7 @@ std::vector<TradeoffPoint> tradeoffCurve(const Instance& instance, int maxExtraB
             const auto search = opt::smallestFeasibleIndex(
                 *session.backend, [&](int step) { return encoder.doneAllLiteral(step); }, lo,
                 hi, options.timeSearch, budget);
-            stats.solveCalls += search.solveCalls;
+            curve.stats.solveCalls += search.solveCalls;
             if (search.feasible) {
                 point.feasible = true;
                 point.completionSteps = search.index;

@@ -42,18 +42,8 @@ struct TaskOptions {
     /// Optimization: after minimizing completion time, also minimize the
     /// number of virtual borders at the optimal completion time.
     bool lexicographicSections = true;
-    /// SAT backend factory; defaults to the built-in CDCL solver (or to the
-    /// portfolio backend when `threads` requests more than one worker).
+    /// SAT backend factory; defaults to the built-in CDCL solver.
     std::function<std::unique_ptr<cnf::SatBackend>()> backendFactory;
-    /// Solver worker count when no backendFactory is given: 1 runs the
-    /// single-threaded internal backend, >1 the parallel portfolio with that
-    /// many diversified workers, 0 picks the hardware concurrency (see
-    /// docs/PARALLEL.md).
-    int threads = 1;
-    /// Run the portfolio in deterministic lock-step mode (reproducible
-    /// verdict/model/winner for a fixed (threads, seed) pair). Only
-    /// meaningful when the portfolio backend is selected via `threads`.
-    bool deterministicPortfolio = false;
     /// Progress/cancellation hook forwarded to the backend (see
     /// sat::ProgressCallback). Returning false aborts the running solve,
     /// and the task stops there: it reports not feasible, with no solution,
@@ -181,6 +171,12 @@ struct TradeoffPoint {
     int sectionCount = 0;     ///< sections of the witness layout
 };
 
+/// The trade-off curve and what computing it cost.
+struct TradeoffCurve {
+    std::vector<TradeoffPoint> points;  ///< one per budget k = 0, 1, ...
+    TaskStats stats;                    ///< the whole sweep's cost
+};
+
 /// "How much does each additional virtual border buy?" For k =
 /// 0..maxExtraBorders: the minimal completion time achievable with at most k
 /// virtual borders (departures fixed, arrivals open), which quantifies the
@@ -188,9 +184,9 @@ struct TradeoffPoint {
 /// The curve is non-increasing in k and stops at the first k that admits
 /// every candidate border. Encodes once and sweeps budgets via solver
 /// assumptions; a horizon too short for any completion or a schedule the
-/// gate rejects gives all points infeasible without a formula.
-[[nodiscard]] std::vector<TradeoffPoint> tradeoffCurve(const Instance& instance,
-                                                       int maxExtraBorders,
-                                                       const TaskOptions& options = {});
+/// gate rejects gives all points infeasible without a formula, and stats
+/// with no solver work.
+[[nodiscard]] TradeoffCurve tradeoffCurve(const Instance& instance, int maxExtraBorders,
+                                          const TaskOptions& options = {});
 
 }  // namespace etcs::core

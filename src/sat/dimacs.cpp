@@ -11,6 +11,21 @@
 
 namespace etcs::sat {
 
+Literal literalFromDimacs(std::uint64_t variable, bool negative) {
+    if (variable == 0 || variable > kMaxDimacsVariable) {
+        throw InputError("variable number out of range (1.." +
+                         std::to_string(kMaxDimacsVariable) + "): " +
+                         (negative ? "-" : "") + std::to_string(variable));
+    }
+    return Literal(static_cast<Var>(variable - 1), negative);
+}
+
+Literal literalFromDimacs(long long value) {
+    // Negate in unsigned arithmetic: -LLONG_MIN does not fit a long long.
+    const auto magnitude = static_cast<std::uint64_t>(value);
+    return literalFromDimacs(value < 0 ? 0 - magnitude : magnitude, value < 0);
+}
+
 CnfFormula readDimacs(std::istream& in) {
     CnfFormula formula;
     bool sawHeader = false;
@@ -25,9 +40,12 @@ CnfFormula readDimacs(std::istream& in) {
         if (line[0] == 'p') {
             std::string p;
             std::string fmt;
-            std::size_t vars = 0;
+            long long vars = 0;
             if (!(ls >> p >> fmt >> vars >> declaredClauses) || fmt != "cnf") {
                 throw InputError("malformed DIMACS header: " + line);
+            }
+            if (vars < 0 || static_cast<std::uint64_t>(vars) > kMaxDimacsVariable) {
+                throw InputError("DIMACS variable count out of range: " + line);
             }
             formula.numVariables = static_cast<int>(vars);
             sawHeader = true;
@@ -49,12 +67,12 @@ CnfFormula readDimacs(std::istream& in) {
                 current.clear();
                 continue;
             }
-            const Var v = static_cast<Var>(std::abs(value)) - 1;
-            if (v >= formula.numVariables) {
+            const Literal literal = literalFromDimacs(value);
+            if (literal.var() >= formula.numVariables) {
                 throw InputError("DIMACS literal exceeds declared variable count: " +
                                  std::to_string(value));
             }
-            current.push_back(Literal(v, value < 0));
+            current.push_back(literal);
         }
     }
     if (!sawHeader) {

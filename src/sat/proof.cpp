@@ -1,13 +1,13 @@
 #include "sat/proof.hpp"
 
 #include <cctype>
-#include <cstdlib>
 #include <istream>
 #include <iterator>
 #include <ostream>
 #include <sstream>
 #include <string>
 
+#include "sat/dimacs.hpp"
 #include "util/error.hpp"
 
 namespace etcs::sat {
@@ -18,10 +18,6 @@ namespace {
 long long dimacsLiteral(Literal l) {
     const long long magnitude = static_cast<long long>(l.var()) + 1;
     return l.sign() ? -magnitude : magnitude;
-}
-
-Literal fromDimacs(long long value) {
-    return Literal(static_cast<Var>(std::abs(value)) - 1, value < 0);
 }
 
 /// Binary-DRAT unsigned mapping: lit > 0 -> 2*lit, lit < 0 -> 2*|lit|+1.
@@ -98,7 +94,7 @@ DratProof readDratText(std::istream& in) {
             inStep = false;
             continue;
         }
-        current.literals.push_back(fromDimacs(value));
+        current.literals.push_back(literalFromDimacs(value));
         inStep = true;
     }
     if (inStep) {
@@ -135,11 +131,7 @@ DratProof readDratBinary(std::istream& in) {
             if (value == 0) {
                 break;
             }
-            if (value < 2) {
-                throw InputError("binary DRAT literal code out of range");
-            }
-            step.literals.push_back(
-                Literal(static_cast<Var>(value / 2) - 1, (value & 1) != 0));
+            step.literals.push_back(literalFromDimacs(value / 2, (value & 1) != 0));
         }
         proof.steps.push_back(std::move(step));
     }

@@ -58,16 +58,6 @@ Var Solver::VarOrderHeap::removeMax() {
     return top;
 }
 
-void Solver::VarOrderHeap::rebuild(const std::vector<Var>& vars) {
-    for (Var v : heap_) {
-        index_[v] = -1;
-    }
-    heap_.clear();
-    for (Var v : vars) {
-        insert(v);
-    }
-}
-
 void Solver::VarOrderHeap::percolateUp(int pos) {
     const Var v = heap_[pos];
     while (pos > 0) {
@@ -114,7 +104,7 @@ Var Solver::addVariable() {
     level_.push_back(0);
     reason_.push_back(kInvalidClause);
     activity_.push_back(0.0);
-    polarity_.push_back(options_.defaultPolarity ? 1 : 0);
+    polarity_.push_back(0);
     seen_.push_back(kSeenNone);
     watches_.emplace_back();  // positive literal
     watches_.emplace_back();  // negative literal
@@ -297,9 +287,7 @@ void Solver::cancelUntil(int level) {
         values_[static_cast<std::size_t>(trail_[i].code())] = Value::Undef;
         values_[static_cast<std::size_t>((~trail_[i]).code())] = Value::Undef;
         reason_[v] = kInvalidClause;
-        if (options_.phaseSaving) {
-            polarity_[v] = trail_[i].sign() ? 1 : 0;
-        }
+        polarity_[v] = trail_[i].sign() ? 1 : 0;
         order_.insert(v);
     }
     trail_.resize(trailLim_[level]);
@@ -620,117 +608,6 @@ void Solver::compactClauseDatabase() {
     arena_ = std::move(fresh);
 }
 
-void Solver::diversify(std::uint64_t seed, bool randomizePhases) {
-    ETCS_REQUIRE_MSG(decisionLevel() == 0, "diversify only at the root level");
-    // SplitMix64: cheap, deterministic, good bit diffusion for tiny streams.
-    const auto next = [&seed]() {
-        seed += 0x9e3779b97f4a7c15ULL;
-        std::uint64_t z = seed;
-        z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-        z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-        return z ^ (z >> 31);
-    };
-    std::vector<Var> vars;
-    vars.reserve(static_cast<std::size_t>(numVariables()));
-    for (Var v = 0; v < numVariables(); ++v) {
-        // Activities stay far below the bump increment, so the noise only
-        // breaks ties until real conflicts take over.
-        activity_[v] = static_cast<double>(next() % 1024) * 1e-9;
-        if (randomizePhases) {
-            polarity_[v] = (next() & 1) != 0 ? 1 : 0;
-        }
-        vars.push_back(v);
-    }
-    order_.rebuild(vars);
-}
-
-void Solver::exportLearntClause(const std::vector<Literal>& learnt) {
-    if (learnt.size() > static_cast<std::size_t>(options_.shareMaxSize)) {
-        return;
-    }
-    // Exact LBD: the number of distinct decision levels in the clause,
-    // computed before backtracking while level_ is still valid. Clauses are
-    // short (<= shareMaxSize), so the quadratic distinct-count is cheap.
-    int lbd = 0;
-    for (std::size_t i = 0; i < learnt.size(); ++i) {
-        const int level = level_[learnt[i].var()];
-        bool fresh = true;
-        for (std::size_t j = 0; j < i; ++j) {
-            if (level_[learnt[j].var()] == level) {
-                fresh = false;
-                break;
-            }
-        }
-        if (fresh) {
-            ++lbd;
-        }
-    }
-    if (options_.shareMaxLbd > 0 && lbd > options_.shareMaxLbd) {
-        return;
-    }
-    ++stats_.exportedClauses;
-    options_.onLearntExport(learnt, lbd);
-}
-
-void Solver::importSharedClauses() {
-    importBuffer_.clear();
-    options_.onImport(importBuffer_);
-    for (const auto& clause : importBuffer_) {
-        if (!ok_) {
-            return;
-        }
-        importOneClause(clause);
-    }
-}
-
-void Solver::importOneClause(std::span<const Literal> literals) {
-    // Same normalization as addClause, but the clause is attached as a
-    // learnt clause: it is implied by the problem clauses (every CDCL learnt
-    // clause is a resolvent), so it may be dropped again by DB reduction
-    // without affecting soundness.
-    std::vector<Literal> lits(literals.begin(), literals.end());
-    std::sort(lits.begin(), lits.end());
-    Literal previous = kUndefLiteral;
-    std::size_t out = 0;
-    for (Literal l : lits) {
-        if (!l.valid() || l.var() >= numVariables()) {
-            return;  // foreign clause references a variable we do not have yet
-        }
-        if (value(l) == Value::True || l == ~previous) {
-            return;  // satisfied at root / tautology
-        }
-        if (value(l) == Value::False || l == previous) {
-            continue;  // falsified at root / duplicate
-        }
-        lits[out++] = l;
-        previous = l;
-    }
-    lits.resize(out);
-    ++stats_.importedClauses;
-    // Imported clauses are not re-derivable by the importer's own proof, so
-    // they are only logged when a writer is attached anyway (the portfolio
-    // disables sharing under proof logging; see docs/PARALLEL.md).
-    if (proof_ != nullptr) {
-        proof_->addClause(lits);
-    }
-    if (lits.empty()) {
-        ok_ = false;
-        return;
-    }
-    if (lits.size() == 1) {
-        uncheckedEnqueue(lits[0], kInvalidClause);
-        ok_ = (propagate() == kInvalidClause);
-        if (!ok_ && proof_ != nullptr) {
-            proof_->addEmptyClause();
-        }
-        return;
-    }
-    const ClauseRef ref = arena_.allocate(lits, /*learnt=*/true);
-    learnts_.push_back(ref);
-    attachClause(ref);
-    bumpClause(arena_.view(ref));
-}
-
 SolveStatus Solver::search(std::int64_t conflictBudget) {
     std::int64_t conflictsThisRestart = 0;
     std::vector<Literal> learntClause;
@@ -762,9 +639,6 @@ SolveStatus Solver::search(std::int64_t conflictBudget) {
             analyze(conflict, learntClause, backtrackLevel);
             if (proof_ != nullptr) {
                 proof_->addClause(learntClause);
-            }
-            if (options_.onLearntExport && options_.shareMaxSize > 0) {
-                exportLearntClause(learntClause);
             }
             cancelUntil(backtrackLevel);
             if (learntClause.size() == 1) {
@@ -845,7 +719,6 @@ SolveStatus Solver::solve(std::span<const Literal> assumptions) {
         ETCS_REQUIRE_MSG(l.valid() && l.var() < numVariables(),
                          "assumption references unknown variable");
     }
-    ETCS_REQUIRE_MSG(options_.restartBase >= 1, "restartBase must be positive");
     if (maxLearnts_ <= 0.0) {
         maxLearnts_ = std::max(options_.learntSizeFloor,
                                static_cast<double>(clauses_.size()) * options_.learntSizeFactor);
@@ -853,16 +726,7 @@ SolveStatus Solver::solve(std::span<const Literal> assumptions) {
 
     SolveStatus status = SolveStatus::Unknown;
     for (int restart = 0; status == SolveStatus::Unknown; ++restart) {
-        // Foreign clauses enter only here, at the root level: before the
-        // first descent and at every restart boundary.
-        if (options_.onImport) {
-            importSharedClauses();
-            if (!ok_) {
-                cancelUntil(0);
-                return SolveStatus::Unsat;
-            }
-        }
-        status = search(static_cast<std::int64_t>(luby(options_.restartBase, restart)));
+        status = search(static_cast<std::int64_t>(luby(kRestartBase, restart)));
         if (cancelled_) {
             break;  // progress callback requested cancellation
         }

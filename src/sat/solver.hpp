@@ -94,14 +94,6 @@ public:
     /// so tests (and memory-sensitive embedders) can force a compaction.
     void compactClauseDatabase();
 
-    /// Diversify the decision heuristics for portfolio solving: assign small
-    /// pseudo-random initial variable activities derived from `seed` (a
-    /// deterministic permutation of the branching order) and, when
-    /// `randomizePhases` is set, random saved phases. Soundness is
-    /// unaffected. Must be called at the root level, after the variables it
-    /// should cover exist; typically once before the first solve().
-    void diversify(std::uint64_t seed, bool randomizePhases);
-
     /// Words currently wasted by deleted clauses (observability for tests).
     [[nodiscard]] std::size_t wastedArenaWords() const noexcept {
         return arena_.wastedWords();
@@ -153,7 +145,6 @@ private:
         void insert(Var v);
         void increased(Var v);  ///< activity of v increased: restore heap order
         Var removeMax();
-        void rebuild(const std::vector<Var>& vars);
 
     private:
         [[nodiscard]] bool less(Var a, Var b) const noexcept {
@@ -191,16 +182,13 @@ private:
     bool literalRedundant(Literal p, std::uint32_t abstractLevels);
     void analyzeFinal(Literal failedAssumption);
     SolveStatus search(std::int64_t conflictBudget);
-    void exportLearntClause(const std::vector<Literal>& learnt);
-    void importSharedClauses();
-    void importOneClause(std::span<const Literal> literals);
     void reduceLearnedDb();
     void attachClause(ClauseRef ref);
     void detachClause(ClauseRef ref);
     [[nodiscard]] bool locked(ClauseRef ref) const;
     void bumpVariable(Var v);
     void bumpClause(Clause c);
-    void decayVariableActivity() { variableIncrement_ /= options_.variableDecay; }
+    void decayVariableActivity() { variableIncrement_ /= kVariableDecay; }
     void decayClauseActivity() { clauseIncrement_ /= kClauseDecay; }
     void rescaleVariableActivity();
     void rescaleClauseActivity();
@@ -209,7 +197,9 @@ private:
     }
     void storeModel();
 
-    static constexpr double kClauseDecay = 0.999;  ///< learned-clause activity decay
+    static constexpr double kVariableDecay = 0.95;  ///< EVSIDS decay per conflict
+    static constexpr double kClauseDecay = 0.999;   ///< learned-clause activity decay
+    static constexpr int kRestartBase = 100;        ///< conflicts per Luby unit
 
     SolverOptions options_;
     SolverStats stats_;
@@ -231,11 +221,13 @@ private:
     double variableIncrement_ = 1.0;
     double clauseIncrement_ = 1.0;
     VarOrderHeap order_{activity_};
+    /// Saved phase per variable, as a sign: a fresh variable starts at 0 and
+    /// is decided true first (cnf::addFalseFirstLiteral relies on it); then
+    /// each unassignment saves the polarity the variable last held.
     std::vector<char> polarity_;
 
     std::vector<Literal> assumptions_;
     std::vector<Literal> conflictCore_;
-    std::vector<std::vector<Literal>> importBuffer_;  ///< scratch for onImport polls
 
     std::vector<SeenMark> seen_;  ///< per variable
     std::vector<RedundancyFrame> analyzeStack_;

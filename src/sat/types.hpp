@@ -6,8 +6,6 @@
 #include <compare>
 #include <functional>
 #include <ostream>
-#include <span>
-#include <vector>
 
 namespace etcs::sat {
 
@@ -99,8 +97,6 @@ struct SolverStats {
     std::uint64_t garbageCollections = 0;
     std::uint64_t maxDecisionLevel = 0;  ///< deepest decision level ever reached
     std::uint64_t peakLearnts = 0;       ///< largest learnt-DB size ever held
-    std::uint64_t exportedClauses = 0;   ///< learnt clauses handed to onLearntExport
-    std::uint64_t importedClauses = 0;   ///< foreign clauses attached via onImport
 };
 
 /// Snapshot handed to a progress callback during search.
@@ -118,42 +114,18 @@ struct SolverProgress {
 /// its state valid for further addClause()/solve() calls.
 using ProgressCallback = std::function<bool(const SolverProgress&)>;
 
-/// Export hook for learnt-clause sharing (see sat/portfolio.hpp). Invoked
-/// from inside search, before backtracking, for every learnt clause within
-/// the configured size/LBD caps. The span is only valid for the duration of
-/// the call — receivers must copy.
-using LearntExportCallback = std::function<void(std::span<const Literal>, int lbd)>;
-
-/// Import source for learnt-clause sharing. Polled at the root level before
-/// the first descent of a solve and at every restart boundary; the callee
-/// appends clauses (each implied by the clause database) to the buffer. The
-/// buffer is cleared by the solver before every poll.
-using ImportCallback = std::function<void(std::vector<std::vector<Literal>>&)>;
-
-/// Tunable solver behaviour; defaults follow MiniSat-era practice.
+/// Tunable solver behaviour: resource limits, the learnt-DB schedule and
+/// the progress hook. The search heuristics themselves (EVSIDS decay 0.95,
+/// Luby restarts of 100 conflicts a unit, phase saving, a fresh variable
+/// decided true first) are fixed in Solver.
 struct SolverOptions {
-    double variableDecay = 0.95;       ///< EVSIDS decay per conflict.
-    bool phaseSaving = true;           ///< reuse last assigned polarity.
-    int restartBase = 100;             ///< conflicts per Luby unit (>= 1).
     double learntSizeFactor = 0.33;    ///< initial learnt DB limit / #clauses.
     double learntSizeFloor = 1000.0;   ///< minimum learnt DB limit (tests lower
                                        ///< it to force reductions on small inputs).
     double learntSizeIncrement = 1.1;  ///< DB limit growth per reduction.
     std::int64_t conflictLimit = -1;   ///< stop after this many conflicts (<0: off).
-    bool defaultPolarity = false;      ///< saved phase of a fresh variable, as a sign:
-                                       ///< false decides the positive literal first,
-                                       ///< and an unconstrained variable comes out true
-                                       ///< (cnf::addFalseFirstLiteral relies on it).
     std::uint64_t progressInterval = 16384;  ///< conflicts between onProgress calls.
     ProgressCallback onProgress;       ///< progress/cancellation hook (may be empty).
-
-    // Clause sharing (portfolio solving; see sat/portfolio.hpp). Learnt
-    // clauses are exported while still at the conflict level, so their LBD is
-    // exact; foreign clauses are imported only at the root level.
-    int shareMaxSize = 0;              ///< export learnt clauses up to this size (0: off).
-    int shareMaxLbd = 0;               ///< extra LBD cap on exports (0: size cap only).
-    LearntExportCallback onLearntExport;  ///< receives each exported clause + LBD.
-    ImportCallback onImport;           ///< foreign-clause source (may be empty).
 };
 
 }  // namespace etcs::sat

@@ -51,6 +51,10 @@ namespace detail {
 
 class JsonParser {
 public:
+    /// Deepest array/object nesting accepted: far above the few levels the
+    /// library writes, far below what would exhaust the stack.
+    static constexpr int kMaxDepth = 256;
+
     explicit JsonParser(std::string_view text) : text_(text) {}
 
     JsonValue parse() {
@@ -96,8 +100,14 @@ private:
 
     JsonValue parseValue() {
         switch (peek()) {
-            case '{': return parseObject();
-            case '[': return parseArray();
+            case '{':
+            case '[': {
+                require(depth_ < kMaxDepth, "nesting too deep");
+                ++depth_;
+                JsonValue v = text_[pos_] == '{' ? parseObject() : parseArray();
+                --depth_;
+                return v;
+            }
             case '"': {
                 JsonValue v;
                 v.type = JsonValue::Type::String;
@@ -245,6 +255,7 @@ private:
 
     std::string_view text_;
     std::size_t pos_ = 0;
+    int depth_ = 0;  ///< arrays/objects open at pos_
 };
 
 }  // namespace detail

@@ -26,7 +26,7 @@ struct AnalysisFixture : ::testing::Test {
 };
 
 TEST_F(AnalysisFixture, TradeoffCurveIsMonotoneNonIncreasing) {
-    const auto curve = tradeoffCurve(open, 5);
+    const auto curve = tradeoffCurve(open, 5).points;
     ASSERT_GE(curve.size(), 2u);
     for (std::size_t i = 1; i < curve.size(); ++i) {
         if (curve[i - 1].feasible) {
@@ -37,7 +37,7 @@ TEST_F(AnalysisFixture, TradeoffCurveIsMonotoneNonIncreasing) {
 }
 
 TEST_F(AnalysisFixture, TradeoffCurveEndpointsMatchBaseTasks) {
-    const auto curve = tradeoffCurve(open, 8);
+    const auto curve = tradeoffCurve(open, 8).points;
     // Budget 0 = pure TTD layout: must match optimizeScheduleOnLayout.
     const VssLayout pure(open.graph());
     const auto onPure = optimizeScheduleOnLayout(open, pure);
@@ -55,7 +55,7 @@ TEST_F(AnalysisFixture, TradeoffCurveEndpointsMatchBaseTasks) {
 }
 
 TEST_F(AnalysisFixture, TradeoffSectionCountRespectsBudget) {
-    const auto curve = tradeoffCurve(open, 4);
+    const auto curve = tradeoffCurve(open, 4).points;
     const int ttdSections = VssLayout(open.graph()).sectionCount(open.graph());
     for (const auto& point : curve) {
         if (point.feasible) {
@@ -173,40 +173,63 @@ TEST_F(AnalysisFixture, TradeoffRejectsNegativeBudget) {
     EXPECT_THROW((void)tradeoffCurve(open, -1), PreconditionError);
 }
 
-/// Counts the clauses handed to every backend its factory builds.
-class ClauseCountingBackend final : public test::ForwardingBackend {
+/// What the backends a counting factory built have seen.
+struct BackendCounts {
+    std::size_t clauses = 0;
+    std::uint64_t solves = 0;
+};
+
+/// Counts the clauses and solve calls handed to every backend its factory
+/// builds.
+class CountingBackend final : public test::ForwardingBackend {
 public:
-    explicit ClauseCountingBackend(std::size_t& clauses) : clauses_(&clauses) {}
+    explicit CountingBackend(BackendCounts& counts) : counts_(&counts) {}
 
     using test::ForwardingBackend::addClause;
+    using test::ForwardingBackend::solve;
 
     void addClause(std::span<const cnf::Literal> literals) override {
-        ++*clauses_;
+        ++counts_->clauses;
         test::ForwardingBackend::addClause(literals);
+    }
+    cnf::SolveStatus solve(std::span<const cnf::Literal> assumptions) override {
+        ++counts_->solves;
+        return test::ForwardingBackend::solve(assumptions);
     }
 
 private:
-    std::size_t* clauses_;
+    BackendCounts* counts_;
 };
 
-/// tradeoffCurve runs the task pipeline: a horizon too short for any
-/// completion, or a schedule the lint/reach gate refutes, gives every point
-/// infeasible without emitting a clause.
+TaskOptions countingOptions(BackendCounts& counts) {
+    TaskOptions options;
+    options.backendFactory = [&counts] { return std::make_unique<CountingBackend>(counts); };
+    return options;
+}
+
+/// tradeoffCurve runs the task pipeline and reports its cost: a horizon too
+/// short for any completion, or a schedule the lint/reach gate refutes, gives
+/// every point infeasible without emitting a clause, and stats with no
+/// solver work.
 TEST_F(AnalysisFixture, TradeoffCurveWithoutACompletionEmitsNoFormula) {
-    std::size_t clauses = 0;
-    TaskOptions counting;
-    counting.backendFactory = [&clauses] {
-        return std::make_unique<ClauseCountingBackend>(clauses);
-    };
+    BackendCounts counts;
+    const TaskOptions counting = countingOptions(counts);
     const auto expectNoFormula = [&](const Instance& instance) {
-        clauses = 0;
+        counts = {};
         const auto curve = tradeoffCurve(instance, 2, counting);
-        EXPECT_EQ(clauses, 0U);
-        ASSERT_EQ(curve.size(), 3U);
-        for (std::size_t k = 0; k < curve.size(); ++k) {
-            EXPECT_EQ(curve[k].extraBorders, static_cast<int>(k));
-            EXPECT_FALSE(curve[k].feasible);
+        EXPECT_EQ(counts.clauses, 0U);
+        EXPECT_EQ(counts.solves, 0U);
+        ASSERT_EQ(curve.points.size(), 3U);
+        for (std::size_t k = 0; k < curve.points.size(); ++k) {
+            EXPECT_EQ(curve.points[k].extraBorders, static_cast<int>(k));
+            EXPECT_FALSE(curve.points[k].feasible);
         }
+        EXPECT_EQ(curve.stats.numVariables, 0);
+        EXPECT_EQ(curve.stats.numClauses, 0U);
+        EXPECT_EQ(curve.stats.solveCalls, 0U);
+        EXPECT_EQ(curve.stats.conflicts, 0U);
+        EXPECT_EQ(curve.stats.propagations, 0U);
+        EXPECT_EQ(curve.stats.decisions, 0U);
     };
 
     rail::Schedule shortened = study.openSchedule;
@@ -244,11 +267,16 @@ TEST_F(AnalysisFixture, TradeoffCurveWithoutACompletionEmitsNoFormula) {
     }
     EXPECT_EQ(rejections(), before + 1);
 
-    // The same counting backend does see the formula of a curve that solves.
-    clauses = 0;
+    // The same counting backend does see the formula of a curve that solves,
+    // and the curve's stats count exactly the clauses and solves it saw.
+    counts = {};
     const auto curve = tradeoffCurve(open, 2, counting);
-    EXPECT_GT(clauses, 0U);
-    EXPECT_TRUE(curve.back().feasible);
+    EXPECT_GT(counts.clauses, 0U);
+    EXPECT_TRUE(curve.points.back().feasible);
+    EXPECT_GT(curve.stats.numVariables, 0);
+    EXPECT_EQ(curve.stats.numClauses, counts.clauses);
+    EXPECT_EQ(curve.stats.solveCalls, counts.solves);
+    EXPECT_GT(curve.stats.conflicts, 0U);
 }
 
 TEST_F(AnalysisFixture, RobustnessRequiresTimedSchedule) {
@@ -373,53 +401,28 @@ TEST_F(AnalysisFixture, IndividualArrivalsRequireAPermutation) {
     }
 }
 
-/// The analyses solve on the tasks' backend, so TaskOptions::threads reaches
-/// them: with two threads each one runs on the portfolio and reaches the
-/// single-threaded answers.
-TEST_F(AnalysisFixture, AnalysesHonourThreads) {
-    TaskOptions parallel;
-    parallel.threads = 2;
-    obs::Counter& portfolioSolves =
-        obs::Registry::global().counter("etcs.sat.portfolio.solves");
+/// The analyses solve on the task's backend: a counting backendFactory sees
+/// every solve each of them reports.
+TEST_F(AnalysisFixture, AnalysesSolveOnTheTaskBackend) {
+    BackendCounts counts;
+    const TaskOptions counting = countingOptions(counts);
 
-    auto before = portfolioSolves.value();
-    const auto curve = tradeoffCurve(open, 3, parallel);
-    EXPECT_GT(portfolioSolves.value(), before) << "tradeoffCurve ignored threads";
-    const auto serialCurve = tradeoffCurve(open, 3);
-    ASSERT_EQ(curve.size(), serialCurve.size());
-    for (std::size_t k = 0; k < curve.size(); ++k) {
-        SCOPED_TRACE("budget " + std::to_string(k));
-        EXPECT_EQ(curve[k].feasible, serialCurve[k].feasible);
-        EXPECT_EQ(curve[k].completionSteps, serialCurve[k].completionSteps);
-    }
+    const auto curve = tradeoffCurve(open, 3, counting);
+    EXPECT_GT(counts.solves, 0U) << "tradeoffCurve ignored backendFactory";
+    EXPECT_EQ(curve.stats.solveCalls, counts.solves);
 
-    // Weighted generation: the minimal total cost of the virtual borders.
-    const auto costOf = [](SegNodeId node) { return 1 + static_cast<int>(node.get() % 3); };
-    const auto totalCost = [&](const GenerationResult& result) {
-        int cost = 0;
-        for (std::size_t n = 0; n < timed.graph().numNodes(); ++n) {
-            if (!timed.graph().node(SegNodeId(n)).fixedBorder &&
-                result.solution->layout.flags()[n]) {
-                cost += costOf(SegNodeId(n));
-            }
-        }
-        return cost;
-    };
-    before = portfolioSolves.value();
-    const auto weighted = generateLayoutWeighted(timed, costOf, parallel);
-    EXPECT_GT(portfolioSolves.value(), before) << "generateLayoutWeighted ignored threads";
-    const auto serialWeighted = generateLayoutWeighted(timed, costOf);
+    counts = {};
+    const auto weighted = generateLayoutWeighted(
+        timed, [](SegNodeId node) { return 1 + static_cast<int>(node.get() % 3); }, counting);
     ASSERT_TRUE(weighted.feasible);
-    ASSERT_TRUE(serialWeighted.feasible);
-    EXPECT_EQ(totalCost(weighted), totalCost(serialWeighted));
+    EXPECT_GT(counts.solves, 0U) << "generateLayoutWeighted ignored backendFactory";
+    EXPECT_EQ(weighted.stats.solveCalls, counts.solves);
 
-    before = portfolioSolves.value();
-    const auto arrivals = optimizeIndividualArrivals(open, {}, parallel);
-    EXPECT_GT(portfolioSolves.value(), before) << "optimizeIndividualArrivals ignored threads";
-    const auto serialArrivals = optimizeIndividualArrivals(open);
+    counts = {};
+    const auto arrivals = optimizeIndividualArrivals(open, {}, counting);
     ASSERT_TRUE(arrivals.feasible);
-    ASSERT_TRUE(serialArrivals.feasible);
-    EXPECT_EQ(arrivals.doneSteps, serialArrivals.doneSteps);
+    EXPECT_GT(counts.solves, 0U) << "optimizeIndividualArrivals ignored backendFactory";
+    EXPECT_EQ(arrivals.stats.solveCalls, counts.solves);
 }
 
 /// A cancelled solve anywhere in optimizeIndividualArrivals — the

@@ -390,6 +390,16 @@ TEST(BenchdiffCli, MalformedJsonExitsTwo) {
     EXPECT_NE(result.output.find("error"), std::string::npos) << result.output;
 }
 
+/// Nesting deeper than the JSON parser allows is an input error, not a
+/// stack overflow.
+TEST(BenchdiffCli, DeeplyNestedJsonExitsTwo) {
+    const std::string deep =
+        writeTempFile("cli_test_bench_deep.json", std::string(100000, '['));
+    const auto result = run(kBenchdiff + " " + deep + " " + deep);
+    EXPECT_EQ(result.exitCode, 2) << result.output;
+    EXPECT_NE(result.output.find("nesting too deep"), std::string::npos) << result.output;
+}
+
 TEST(BenchdiffCli, UsageErrorExitsTwo) {
     EXPECT_EQ(run(kBenchdiff).exitCode, 2);
 }
@@ -521,7 +531,7 @@ TEST(EtcsExplainCli, GenInfeasibleCorpusGetsACertifiedExplanation) {
 /// Removed solve modes fail loudly: a script that still passes one gets the
 /// usage message and exit 2 instead of a run in another mode.
 TEST(EtcsCli, RemovedSolveModeFlagIsAUsageError) {
-    for (const char* flag : {"--cegar", "--unroll"}) {
+    for (const char* flag : {"--cegar", "--unroll", "--threads 2"}) {
         SCOPED_TRACE(flag);
         const auto result = run(kEtcsCli + " verify " + kData + "/quickstart.rail " + kData +
                                 "/quickstart.sched --rs 500 --rt 30 " + flag);
@@ -533,7 +543,8 @@ TEST(EtcsCli, RemovedSolveModeFlagIsAUsageError) {
 TEST(SatSolveCli, RemovedSolveModeFlagsAreUsageErrors) {
     const std::string cnf =
         writeTempFile("sat_solve_removed_flags.cnf", "p cnf 2 2\n1 2 0\n-1 0\n");
-    for (const char* flag : {"--cegar", "--unroll", "--preprocess", "--no-restarts"}) {
+    for (const char* flag : {"--cegar", "--unroll", "--preprocess", "--no-restarts",
+                             "--threads 4", "--deterministic"}) {
         SCOPED_TRACE(flag);
         const auto result = run(kSatSolve + " " + flag + " " + cnf);
         EXPECT_EQ(result.exitCode, 2) << result.output;
@@ -548,13 +559,11 @@ TEST(EtcsCli, MalformedNumbersAreUsageErrors) {
     const std::string files =
         kEtcsCli + " verify " + kData + "/running_example.rail " + kData +
         "/running_example.sched ";
-    for (const char* flags : {"--rs 500 --rt 30 --threads abc", "--rs 500 --rt 30 --threads 2x",
-                              "--rs 500m --rt 30", "--rs 500 --rt 30s", "--rs abc --rt 30"}) {
+    for (const char* flags : {"--rs 500m --rt 30", "--rs 500 --rt 30s", "--rs abc --rt 30"}) {
         SCOPED_TRACE(flags);
         const auto result = run(files + flags);
         EXPECT_EQ(result.exitCode, 2) << result.output;
         EXPECT_NE(result.output.find("usage: etcs_cli"), std::string::npos) << result.output;
-        EXPECT_EQ(result.output.find("solver:"), std::string::npos) << result.output;
     }
 }
 
@@ -568,19 +577,6 @@ TEST(EtcsExplainCli, MalformedNumbersAreUsageErrors) {
         EXPECT_NE(result.output.find("usage: etcs_explain"), std::string::npos)
             << result.output;
     }
-}
-
-TEST(SatSolveCli, MalformedThreadCountsAreUsageErrors) {
-    const std::string cnf =
-        writeTempFile("sat_solve_bad_threads.cnf", "p cnf 2 2\n1 2 0\n-1 0\n");
-    for (const char* count : {"abc", "2x", "-1", ""}) {
-        SCOPED_TRACE(count);
-        const auto result = run(kSatSolve + " --threads '" + count + "' " + cnf);
-        EXPECT_EQ(result.exitCode, 2) << result.output;
-        EXPECT_NE(result.output.find("usage: sat_solve"), std::string::npos) << result.output;
-        EXPECT_EQ(result.output.find("portfolio"), std::string::npos) << result.output;
-    }
-    std::remove(cnf.c_str());
 }
 
 TEST(BenchdiffCli, MalformedThresholdIsAUsageError) {

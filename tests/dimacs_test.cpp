@@ -128,6 +128,35 @@ TEST(Dimacs, RejectsOutOfRangeLiteral) {
     EXPECT_THROW(readDimacs(in), InputError);
 }
 
+/// A variable count beyond int32 is rejected, not wrapped (4294967298 once
+/// read as 2 variables).
+TEST(Dimacs, RejectsVariableCountThatWouldWrap) {
+    std::istringstream in("p cnf 4294967298 1\n1 2 0\n");
+    EXPECT_THROW(readDimacs(in), InputError);
+}
+
+/// A literal beyond int32 is rejected, not wrapped (4294967297 once read as
+/// 1), and LLONG_MIN, whose magnitude no long long holds, too.
+TEST(Dimacs, RejectsLiteralThatWouldWrap) {
+    std::istringstream wrapped("p cnf 3 2\n4294967297 0\n-1 0\n");
+    EXPECT_THROW(readDimacs(wrapped), InputError);
+    std::istringstream minimum("p cnf 3 1\n-9223372036854775808 0\n");
+    EXPECT_THROW(readDimacs(minimum), InputError);
+}
+
+/// Variable numbers stop at kMaxDimacsVariable = 2^30, the last whose
+/// literal code fits in int32. A header of two billion variables once
+/// passed and exhausted memory in the solver.
+TEST(Dimacs, BoundsVariablesByTheLiteralRange) {
+    std::istringstream huge("p cnf 2000000000 1\n1 0\n");
+    EXPECT_THROW(readDimacs(huge), InputError);
+    std::istringstream atBound("p cnf 1073741824 1\n-1073741824 0\n");
+    const CnfFormula f = readDimacs(atBound);
+    EXPECT_EQ(f.numVariables, 1 << 30);
+    ASSERT_EQ(f.clauses.size(), 1u);
+    EXPECT_EQ(f.clauses[0], std::vector<Literal>{Literal::negative((1 << 30) - 1)});
+}
+
 TEST(Dimacs, RejectsUnterminatedClause) {
     std::istringstream in("p cnf 2 1\n1 2\n");
     EXPECT_THROW(readDimacs(in), InputError);

@@ -8,6 +8,7 @@
 #include "sat/drat_check.hpp"
 #include "sat/proof.hpp"
 #include "sat/solver.hpp"
+#include "util/error.hpp"
 
 namespace etcs::sat {
 namespace {
@@ -103,6 +104,46 @@ TEST(DratProof, MemoryWriterRecordsSteps) {
     EXPECT_TRUE(proof.steps[2].literals.empty());
     EXPECT_EQ(writer.additions(), 2u);
     EXPECT_EQ(writer.deletions(), 1u);
+}
+
+/// Out-of-range variable numbers are input errors in both formats, never
+/// wrapped into a literal the proof does not contain. Pigeonhole 3 into 2
+/// is the formula of CI's proof check; its solver proof is "-1 0", "0".
+TEST(DratProof, TextReaderRejectsLiteralThatWouldWrap) {
+    const CnfFormula php = formulaOf(
+        6, {{1, 2}, {3, 4}, {5, 6}, {-1, -3}, {-1, -5}, {-3, -5}, {-2, -4}, {-2, -6}, {-4, -6}});
+    std::istringstream proof("-1 0\n0\n");
+    EXPECT_TRUE(checkDrat(php, readDrat(proof)).verified);
+    // -4294967297 once read as -1, and the rewritten proof was VERIFIED.
+    std::istringstream wrapped("-4294967297 0\n0\n");
+    EXPECT_THROW((void)readDrat(wrapped), InputError);
+}
+
+/// A leading lemma on variable 2^31 once corrupted the checker's heap, and
+/// one on variable two billion made it size its tables for that many.
+TEST(DratProof, TextReaderRejectsVariablesAboveTheLiteralRange) {
+    for (const char* lemma : {"2147483648 0\n", "2000000000 0\n"}) {
+        SCOPED_TRACE(lemma);
+        std::istringstream in(std::string(lemma) + "-1 0\n0\n");
+        EXPECT_THROW((void)readDrat(in), InputError);
+    }
+}
+
+/// std::abs(LLONG_MIN) is undefined; the reader never takes it.
+TEST(DratProof, TextReaderRejectsTheMostNegativeInteger) {
+    std::istringstream in("-9223372036854775808 0\n");
+    EXPECT_THROW((void)readDratText(in), InputError);
+}
+
+TEST(DratProof, BinaryReaderBoundsVariablesByTheLiteralRange) {
+    // Varint codes 2 * 2^30 (variable 2^30, the largest accepted) and
+    // 2 * 2^31 + 1 (variable -2^31), each in an 'a' step ended by 0.
+    std::istringstream atBound(std::string("a\x80\x80\x80\x80\x08\0", 7));
+    const DratProof proof = readDratBinary(atBound);
+    ASSERT_EQ(proof.steps.size(), 1u);
+    EXPECT_EQ(proof.steps[0].literals, std::vector<Literal>{pos((1 << 30) - 1)});
+    std::istringstream above(std::string("a\x81\x80\x80\x80\x10\0", 7));
+    EXPECT_THROW((void)readDratBinary(above), InputError);
 }
 
 // ---------------------------------------------------------------- checker --

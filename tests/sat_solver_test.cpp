@@ -33,7 +33,6 @@ TEST(Solver, EmptyFormulaIsSat) {
 /// variables come out true in the model.
 TEST(Solver, FreshUnconstrainedVariablesComeOutTrue) {
     Solver s;
-    ASSERT_FALSE(s.options().defaultPolarity);
     std::vector<Var> vars;
     for (int i = 0; i < 8; ++i) {
         vars.push_back(s.addVariable());
@@ -231,36 +230,18 @@ TEST(Solver, ConflictLimitReturnsUnknown) {
     EXPECT_EQ(s.solve(), SolveStatus::Unknown);
 }
 
-TEST(Solver, WorksWithoutPhaseSaving) {
-    // The portfolio's diversity table switches phase saving off for some
-    // workers, so every decision takes the default polarity.
-    Solver s;
-    s.options().phaseSaving = false;
-    std::vector<Var> x;
-    for (int i = 0; i < 40; ++i) {
-        x.push_back(s.addVariable());
-    }
-    for (int i = 0; i + 1 < 40; i += 2) {
-        s.addClause({pos(x[i]), pos(x[i + 1])});
-        s.addClause({neg(x[i]), neg(x[i + 1])});
-    }
-    ASSERT_EQ(s.solve(), SolveStatus::Sat);
-    for (int i = 0; i + 1 < 40; i += 2) {
-        EXPECT_NE(s.modelValue(x[i]), s.modelValue(x[i + 1]));
-    }
-
+TEST(Solver, RefutesPigeonholeWithRestarts) {
     // A refutation that needs learning and restarts: pigeonhole 7 into 6.
     const CnfFormula php = etcs::test::pigeonhole(7, 6);
-    Solver unsat;
-    unsat.options().phaseSaving = false;
+    Solver s;
     for (int v = 0; v < php.numVariables; ++v) {
-        unsat.addVariable();
+        s.addVariable();
     }
     for (const auto& clause : php.clauses) {
-        unsat.addClause(clause);
+        s.addClause(clause);
     }
-    EXPECT_EQ(unsat.solve(), SolveStatus::Unsat);
-    EXPECT_GT(unsat.stats().restarts, 0u);
+    EXPECT_EQ(s.solve(), SolveStatus::Unsat);
+    EXPECT_GT(s.stats().restarts, 0u);
 }
 
 TEST(Solver, ManySolveCallsWithVaryingAssumptions) {
@@ -300,17 +281,6 @@ TEST(Solver, RejectsUnknownVariableInAssumption) {
     Solver s;
     s.addVariable();
     EXPECT_THROW(s.solve({pos(5)}), PreconditionError);
-}
-
-/// Luby restarts are always on, so a restart unit below one conflict would
-/// restart before every decision.
-TEST(Solver, RejectsNonPositiveRestartBase) {
-    Solver s;
-    s.addClause({pos(s.addVariable())});
-    s.options().restartBase = -1;
-    EXPECT_THROW(s.solve(), PreconditionError);
-    s.options().restartBase = 1;
-    EXPECT_EQ(s.solve(), SolveStatus::Sat);
 }
 
 }  // namespace

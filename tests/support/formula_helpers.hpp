@@ -2,7 +2,7 @@
 /// Shared CNF fixtures for the randomized solver test suites: random k-SAT
 /// generation, model checking against a formula, pigeonhole instances, and
 /// DRAT certification of UNSAT verdicts. Used by differential_test and
-/// portfolio_test so both harnesses agree on what "validated" means.
+/// sat_solver_test.
 #pragma once
 
 #include <gtest/gtest.h>

@@ -6,6 +6,7 @@
 
 #include "util/error.hpp"
 #include "util/ids.hpp"
+#include "util/json.hpp"
 #include "util/units.hpp"
 
 namespace etcs {
@@ -149,6 +150,17 @@ TEST(Error, RequireMacroThrowsWithContext) {
         EXPECT_NE(std::string(e.what()).find("1 == 2"), std::string::npos);
         EXPECT_NE(std::string(e.what()).find("math is broken"), std::string::npos);
     }
+}
+
+TEST(Json, NestingDepthIsCapped) {
+    const auto nested = [](int depth) {
+        return std::string(static_cast<std::size_t>(depth), '[') +
+               std::string(static_cast<std::size_t>(depth), ']');
+    };
+    const int limit = util::detail::JsonParser::kMaxDepth;
+    EXPECT_TRUE(util::parseJson(nested(limit)).isArray());
+    EXPECT_THROW((void)util::parseJson(nested(limit + 1)), InputError);
+    EXPECT_THROW((void)util::parseJson(std::string(100000, '[')), InputError);
 }
 
 }  // namespace
