@@ -14,6 +14,7 @@
 /// Exit code: 0 = task solved (verification feasible / layout found),
 ///            1 = proven infeasible, 2 = usage or input error.
 #include <cstring>
+#include <exception>
 #include <fstream>
 #include <iostream>
 #include <optional>
@@ -243,7 +244,7 @@ int main(int argc, char** argv) {
         }
         maybeWriteDot(*options, instance.graph(), result.solution->layout);
         return 0;
-    } catch (const Error& e) {
+    } catch (const std::exception& e) {
         std::cerr << "error: " << e.what() << "\n";
         return 2;
     }

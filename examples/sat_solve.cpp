@@ -20,6 +20,7 @@
 /// docs/EXPLAIN.md). Combines with --proof: the captured proof is then also
 /// serialized to the file.
 #include <cstring>
+#include <exception>
 #include <fstream>
 #include <iostream>
 #include <memory>
@@ -158,7 +159,7 @@ int main(int argc, char** argv) {
         }
         std::cout << " 0\n";
         return 10;
-    } catch (const etcs::Error& e) {
+    } catch (const std::exception& e) {
         std::cerr << "c error: " << e.what() << "\n";
         return 2;
     }

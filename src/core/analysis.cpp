@@ -1,5 +1,7 @@
 #include "core/analysis.hpp"
 
+#include <algorithm>
+
 namespace etcs::core {
 
 RobustnessReport delayRobustness(const Instance& instance, const VssLayout& layout,
@@ -72,7 +74,12 @@ SlackReport scheduleSlack(const Instance& instance, const VssLayout& layout,
     for (std::size_t r = 0; r < baseSchedule.size(); ++r) {
         const DiscreteRun& run = instance.runs()[r];
         const int scheduled = *run.destination().arrivalStep;
-        const int bound = instance.earliestArrivalStep(r);
+        // No arrival before the travel bound, nor before an intermediate
+        // stop's pinned arrival (the Instance would reject that schedule).
+        int bound = instance.earliestArrivalStep(r);
+        for (std::size_t j = 0; j + 1 < run.stops.size(); ++j) {
+            bound = std::max(bound, *run.stops[j].arrivalStep);
+        }
 
         // Binary search the smallest feasible arrival in [bound, scheduled].
         // Feasibility is monotone here: arriving later is never harder when

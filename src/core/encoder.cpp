@@ -1,6 +1,7 @@
 #include "core/encoder.hpp"
 
 #include <algorithm>
+#include <cstdlib>
 #include <string>
 #include <utility>
 
@@ -30,12 +31,12 @@ Encoder::Encoder(SatBackend& backend, const Instance& instance, EncoderOptions o
 
 bool Encoder::inCone(std::size_t run, SegmentId segment, int step) const {
     const DiscreteRun& r = instance_->runs()[run];
-    if (step < r.departureStep) {
-        return false;
-    }
-    const int slack = r.lengthSegments - 1;
+    const auto travel = [&r](int distance) {
+        return rail::travelLowerBound(distance, r.lengthSegments, r.speedSegments);
+    };
     const int fromOrigin = instance_->segmentDistance(r.originSegment, segment);
-    if (fromOrigin < 0 || fromOrigin > (step - r.departureStep) * r.speedSegments + slack) {
+    if (step < r.departureStep || fromOrigin < 0 ||
+        step - r.departureStep < travel(fromOrigin)) {
         return false;
     }
     // Every pinned stop anchors a cone in both time directions.
@@ -43,10 +44,8 @@ bool Encoder::inCone(std::size_t run, SegmentId segment, int step) const {
         if (!stop.arrivalStep) {
             continue;
         }
-        const int a = *stop.arrivalStep;
         const int d = instance_->segmentDistance(segment, stop.segment);
-        const int window = (step <= a ? a - step : step - a) * r.speedSegments + slack;
-        if (d < 0 || d > window) {
+        if (d < 0 || std::abs(step - *stop.arrivalStep) < travel(d)) {
             return false;
         }
     }

@@ -1,7 +1,6 @@
 #include "core/instance.hpp"
 
 #include <algorithm>
-#include <deque>
 
 namespace etcs::core {
 
@@ -12,78 +11,46 @@ Instance::Instance(const Network& network, const TrainSet& trains, const Schedul
       schedule_(&schedule),
       graph_(std::make_unique<SegmentGraph>(network, resolution)),
       resolution_(resolution) {
-    const Seconds horizon = schedule.horizon();
-    ETCS_REQUIRE_MSG(horizon.count() > 0, "schedule horizon must be positive");
-    horizonSteps_ = resolution.stepOf(horizon) + 1;
+    rail::DiscreteSchedule discrete = rail::discretize(*graph_, trains, schedule);
+    ETCS_REQUIRE_MSG(discrete.horizonSteps > 0, "schedule horizon must be positive");
+    horizonSteps_ = discrete.horizonSteps;
 
-    for (const TrainRun& run : schedule.runs()) {
-        const rail::Train& train = trains.train(run.train);
-        DiscreteRun d;
-        d.train = run.train;
-        d.originSegment = graph_->segmentOfStation(run.origin);
-        d.departureStep = resolution.stepOf(run.departure);
-        d.lengthSegments = train.lengthSegments(resolution);
-        d.speedSegments = train.speedSegments(resolution);
+    for (const DiscreteRun& d : discrete.runs) {
+        const std::string& name = trains.train(d.train).name;
         if (d.speedSegments < 1) {
-            throw InputError("train " + train.name +
+            throw InputError("train " + name +
                              " cannot move at this resolution (speed rounds to zero "
                              "segments per step); refine r_t or coarsen r_s");
         }
         if (d.departureStep >= horizonSteps_) {
-            throw InputError("train " + train.name + " departs after the scenario horizon");
+            throw InputError("train " + name + " departs after the scenario horizon");
         }
         int lastStep = d.departureStep;
-        for (const rail::TimedStop& stop : run.stops) {
-            DiscreteStop ds;
-            ds.station = stop.station;
-            ds.segment = graph_->segmentOfStation(stop.station);
-            if (stop.dwell.count() > 0) {
-                // A dwell of up to one step is the implicit minimum (a train
-                // always occupies its stop for at least one step).
-                ds.dwellSteps = static_cast<int>(
-                    (stop.dwell.count() + resolution.temporal.count() - 1) /
-                    resolution.temporal.count());
-                ds.dwellSteps = std::max(ds.dwellSteps, 1);
+        for (const DiscreteStop& stop : d.stops) {
+            if (!stop.arrivalStep) {
+                continue;
             }
-            if (stop.arrival) {
-                ds.arrivalStep = resolution.stepOf(*stop.arrival);
-                if (*ds.arrivalStep < lastStep) {
-                    throw InputError("train " + train.name +
-                                     " has a stop scheduled before its previous stop");
-                }
-                if (*ds.arrivalStep >= horizonSteps_) {
-                    throw InputError("train " + train.name +
-                                     " has a stop scheduled after the scenario horizon");
-                }
-                lastStep = *ds.arrivalStep;
+            if (*stop.arrivalStep < lastStep) {
+                throw InputError("train " + name +
+                                 " has a stop scheduled before its previous stop");
             }
-            d.stops.push_back(ds);
+            if (*stop.arrivalStep >= horizonSteps_) {
+                throw InputError("train " + name +
+                                 " has a stop scheduled after the scenario horizon");
+            }
+            lastStep = *stop.arrivalStep;
         }
         ETCS_REQUIRE_MSG(!d.stops.empty(), "run without stops");
-        runs_.push_back(std::move(d));
     }
+    runs_ = std::move(discrete.runs);
 
-    // All-pairs BFS over the segment adjacency (graphs here are small; the
-    // encoder queries distances heavily for its reachability cones).
+    // All-pairs hop distances, one BFS row per segment (graphs here are
+    // small; the encoder queries distances heavily for its reachability
+    // cones).
     const std::size_t n = graph_->numSegments();
-    distance_.assign(n * n, -1);
+    distance_.resize(n * n);
     for (std::size_t s = 0; s < n; ++s) {
-        std::deque<SegmentId> queue{SegmentId(s)};
-        distance_[s * n + s] = 0;
-        while (!queue.empty()) {
-            const SegmentId current = queue.front();
-            queue.pop_front();
-            const int d = distance_[s * n + current.get()];
-            const rail::Segment& cs = graph_->segment(current);
-            for (SegNodeId end : {cs.a, cs.b}) {
-                for (SegmentId next : graph_->segmentsAt(end)) {
-                    if (distance_[s * n + next.get()] < 0) {
-                        distance_[s * n + next.get()] = d + 1;
-                        queue.push_back(next);
-                    }
-                }
-            }
-        }
+        graph_->distancesFrom(SegmentId(s), std::span(distance_).subspan(s * n, n));
     }
 }
 
@@ -94,7 +61,7 @@ int Instance::segmentDistance(SegmentId a, SegmentId b) const {
 int Instance::earliestArrivalStep(std::size_t run) const {
     const DiscreteRun& r = runs_.at(run);
     const int travel = segmentDistance(r.originSegment, r.destination().segment);
-    return r.departureStep + (travel + r.speedSegments - 1) / r.speedSegments;
+    return r.departureStep + rail::travelLowerBound(travel, r.lengthSegments, r.speedSegments);
 }
 
 int Instance::completionLowerBound() const {

@@ -2,15 +2,18 @@
 /// A discretized problem instance: network, trains and schedule brought to
 /// the common (r_s, r_t) grid of paper Sec. III-A.
 ///
-/// The instance owns the segment graph and the per-run discrete data every
-/// downstream component (encoder, simulator glue, validator) works with.
+/// The instance owns the segment graph, the per-run discrete data every
+/// downstream component (encoder, simulator glue, validator) works with, and
+/// the all-pairs hop-distance table the encoder's cones read. The grid
+/// mapping and the travel bound are the railway layer's
+/// (railway/discretize.hpp); the instance rejects the runs it cannot encode.
 #pragma once
 
 #include <memory>
-#include <optional>
 #include <span>
 #include <vector>
 
+#include "railway/discretize.hpp"
 #include "railway/network.hpp"
 #include "railway/schedule.hpp"
 #include "railway/segment_graph.hpp"
@@ -18,31 +21,13 @@
 
 namespace etcs::core {
 
+using rail::DiscreteRun;
+using rail::DiscreteStop;
 using rail::Network;
 using rail::Schedule;
 using rail::SegmentGraph;
 using rail::TrainRun;
 using rail::TrainSet;
-
-/// A stop brought onto the discrete grid.
-struct DiscreteStop {
-    StationId station;
-    SegmentId segment;          ///< segment containing the station point
-    std::optional<int> arrivalStep;  ///< pinned arrival step, if timed
-    int dwellSteps = 1;         ///< consecutive steps the stop must be held
-};
-
-/// One train's run on the discrete grid.
-struct DiscreteRun {
-    TrainId train;
-    SegmentId originSegment;
-    int departureStep = 0;
-    std::vector<DiscreteStop> stops;  ///< back() is the destination
-    int lengthSegments = 1;           ///< l*_tr = ceil(l_tr / r_s)
-    int speedSegments = 1;            ///< floor(s_tr * r_t / r_s)
-
-    [[nodiscard]] const DiscreteStop& destination() const { return stops.back(); }
-};
 
 /// The discretized scenario. Immutable after construction.
 class Instance {
@@ -77,7 +62,8 @@ public:
     [[nodiscard]] int segmentDistance(SegmentId a, SegmentId b) const;
 
     /// Earliest step at which run `run` could reach its destination: its
-    /// departure plus its unimpeded travel time.
+    /// departure plus rail::travelLowerBound of the origin-destination
+    /// distance.
     [[nodiscard]] int earliestArrivalStep(std::size_t run) const;
 
     /// Earliest step at which all runs could possibly be done, each one step

@@ -390,10 +390,10 @@ IndividualArrivalResult optimizeIndividualArrivals(const Instance& instance,
             }
             for (const std::size_t run : priority) {
                 // Earliest conceivable done step: one step after arriving.
+                // The bound is sound and everyone finishes by horizon - 1.
                 const int lo = instance.earliestArrivalStep(run) + 1;
-                if (lo > horizon - 1) {
-                    return false;
-                }
+                ETCS_REQUIRE_MSG(lo <= horizon - 1,
+                                 "a run done by the horizon cannot arrive before its bound");
                 const auto search = opt::smallestFeasibleIndex(
                     backend, [&](int step) { return encoder.doneLiteral(run, step); }, lo,
                     horizon - 1, options.timeSearch, everyoneFinishes);

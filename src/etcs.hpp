@@ -24,6 +24,7 @@
 #include "opt/minimize.hpp"
 
 // Railway modelling
+#include "railway/discretize.hpp"
 #include "railway/dot.hpp"
 #include "railway/io.hpp"
 #include "railway/network.hpp"

@@ -5,6 +5,7 @@
 #include <random>
 #include <string>
 
+#include "railway/discretize.hpp"
 #include "railway/segment_graph.hpp"
 #include "sim/simulator.hpp"
 #include "util/error.hpp"
@@ -238,12 +239,6 @@ std::int64_t speedKmhFor(int segments, const Resolution& resolution) {
     return (36 * segments * rs + 10 * rt - 1) / (10 * rt);
 }
 
-/// The lint/encoder shortest-path lower bound on travel steps (L024).
-int travelLowerBound(int distance, int lengthSegments, int speedSegments) {
-    const int effective = std::max(0, distance - (lengthSegments - 1));
-    return (effective + speedSegments - 1) / speedSegments;
-}
-
 struct SampledTraffic {
     TrainSet trains;
     std::vector<StationId> origins;
@@ -430,8 +425,8 @@ GeneratedScenario generate(const GenParams& params) {
             const auto& t = sample.simTrains[i];
             const int bound =
                 sample.departureSteps[i] +
-                travelLowerBound(static_cast<int>(t.route.size()) - 1, t.lengthSegments,
-                                 t.speedSegments);
+                rail::travelLowerBound(static_cast<int>(t.route.size()) - 1,
+                                       t.lengthSegments, t.speedSegments);
             if (deadlines[i] - 1 >= bound) {
                 candidates.push_back(i);
             }
@@ -444,8 +439,8 @@ GeneratedScenario generate(const GenParams& params) {
     } else if (params.schedule == ScheduleKind::Infeasible) {
         const auto pick = static_cast<std::size_t>(rng.range(0, static_cast<int>(runs) - 1));
         const auto& t = sample.simTrains[pick];
-        const int bound = travelLowerBound(static_cast<int>(t.route.size()) - 1,
-                                           t.lengthSegments, t.speedSegments);
+        const int bound = rail::travelLowerBound(static_cast<int>(t.route.size()) - 1,
+                                                 t.lengthSegments, t.speedSegments);
         ETCS_REQUIRE_MSG(bound >= 1, "infeasible run needs a nontrivial route");
         deadlines[pick] = sample.departureSteps[pick] + bound - 1;
     }

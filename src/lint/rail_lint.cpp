@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cstdint>
-
-#include "lint/reach.hpp"
 #include <map>
 #include <string>
 #include <string_view>
@@ -11,6 +9,7 @@
 #include <utility>
 #include <vector>
 
+#include "railway/discretize.hpp"
 #include "util/error.hpp"
 
 namespace etcs::lint {
@@ -21,7 +20,6 @@ using rail::Network;
 using rail::Schedule;
 using rail::Scenario;
 using rail::SegmentGraph;
-using rail::TimedStop;
 using rail::TrainRun;
 using rail::TrainSet;
 
@@ -203,7 +201,6 @@ void lintSchedule(const SegmentGraph& graph, const TrainSet& trains, const Sched
                               "set an explicit 'horizon' or pin at least one arrival"});
         return;
     }
-    const int horizonSteps = resolution.stepOf(horizon) + 1;
 
     // L027: the encoding assumes at most one run per train.
     std::map<std::uint32_t, int> runsPerTrain;
@@ -237,22 +234,22 @@ void lintSchedule(const SegmentGraph& graph, const TrainSet& trains, const Sched
         }
     };
 
+    const rail::DiscreteSchedule discrete = rail::discretize(graph, trains, schedule);
+    const int horizonSteps = discrete.horizonSteps;
     for (std::size_t runIndex = 0; runIndex < schedule.runs().size(); ++runIndex) {
         const TrainRun& run = schedule.runs()[runIndex];
-        const rail::Train& train = trains.train(run.train);
-        const std::string who = "train " + train.name;
+        const rail::DiscreteRun& d = discrete.runs[runIndex];
+        const std::string who = "train " + trains.train(run.train).name;
 
-        const int speedSegments = train.speedSegments(resolution);
-        if (speedSegments < 1) {
+        if (d.speedSegments < 1) {
             report.add(Diagnostic{"L020", Severity::Error, who,
                                   "train cannot move at this resolution: speed rounds to "
                                   "zero segments per step",
                                   "refine the temporal or coarsen the spatial resolution"});
             continue;
         }
-        const int lengthSegments = train.lengthSegments(resolution);
 
-        const int departureStep = resolution.stepOf(run.departure);
+        const int departureStep = d.departureStep;
         if (departureStep >= horizonSteps) {
             report.add(Diagnostic{"L023", Severity::Error, who,
                                   "train departs at step " + std::to_string(departureStep) +
@@ -262,7 +259,7 @@ void lintSchedule(const SegmentGraph& graph, const TrainSet& trains, const Sched
             continue;
         }
 
-        SegmentId previousSegment = graph.segmentOfStation(run.origin);
+        SegmentId previousSegment = d.originSegment;
         std::string previousName = network.station(run.origin).name;
         recordPin(runIndex, previousSegment, departureStep, who + " departing " + previousName);
 
@@ -274,9 +271,9 @@ void lintSchedule(const SegmentGraph& graph, const TrainSet& trains, const Sched
         int earliest = departureStep;
         int lastPinnedStep = departureStep;
 
-        for (const TimedStop& stop : run.stops) {
+        for (const rail::DiscreteStop& stop : d.stops) {
             const std::string stopName = network.station(stop.station).name;
-            const SegmentId segment = graph.segmentOfStation(stop.station);
+            const SegmentId segment = stop.segment;
             const int distance = graph.distance(previousSegment, segment);
             if (distance < 0) {
                 report.add(Diagnostic{"L021", Severity::Error, who,
@@ -285,11 +282,11 @@ void lintSchedule(const SegmentGraph& graph, const TrainSet& trains, const Sched
                                       "check the track layout between the stops"});
                 break;
             }
-            earliest += travelLowerBound(distance, lengthSegments, speedSegments);
-            const int hold = dwellSteps(stop, resolution);
+            earliest += rail::travelLowerBound(distance, d.lengthSegments, d.speedSegments);
+            const int hold = stop.dwellSteps;
 
-            if (stop.arrival) {
-                const int arrivalStep = resolution.stepOf(*stop.arrival);
+            if (stop.arrivalStep) {
+                const int arrivalStep = *stop.arrivalStep;
                 if (arrivalStep < lastPinnedStep) {
                     report.add(Diagnostic{"L022", Severity::Error, who,
                                           "stop " + stopName + " is scheduled at step " +

@@ -8,7 +8,10 @@
 /// instance unsatisfiable, so tasks can fail fast without invoking the
 /// solver. The key check is the per-train shortest-path lower bound (L024):
 /// a train moving at most speedSegments per step cannot occupy a stop
-/// segment earlier than its cumulative graph distance allows.
+/// segment earlier than its cumulative graph distance allows. Steps,
+/// segments and that bound come from railway/discretize.hpp, the same
+/// mapping core::Instance and the encoder use, so a lint verdict speaks
+/// about the formula the solver would see.
 #pragma once
 
 #include <istream>

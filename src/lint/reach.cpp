@@ -1,7 +1,6 @@
 #include "lint/reach.hpp"
 
 #include <algorithm>
-#include <deque>
 #include <limits>
 #include <string>
 
@@ -18,54 +17,19 @@ constexpr int kNoStep = std::numeric_limits<int>::max();
 /// affecting correctness; real instances converge in two or three passes.
 constexpr int kMaxNarrowingPasses = 32;
 
-/// Hop distances from `source` to every segment (-1: unreachable), the same
-/// BFS the core instance uses for its distance table.
-std::vector<int> bfsDistances(const rail::SegmentGraph& graph, SegmentId source) {
-    std::vector<int> dist(graph.numSegments(), -1);
-    std::deque<SegmentId> queue{source};
-    dist[source.get()] = 0;
-    while (!queue.empty()) {
-        const SegmentId current = queue.front();
-        queue.pop_front();
-        const int d = dist[current.get()];
-        const rail::Segment& cs = graph.segment(current);
-        for (SegNodeId end : {cs.a, cs.b}) {
-            for (SegmentId next : graph.segmentsAt(end)) {
-                if (dist[next.get()] < 0) {
-                    dist[next.get()] = d + 1;
-                    queue.push_back(next);
-                }
-            }
-        }
-    }
-    return dist;
-}
-
 }  // namespace
 
-int travelLowerBound(int distance, int lengthSegments, int speedSegments) {
-    const int effective = std::max(0, distance - (lengthSegments - 1));
-    return (effective + speedSegments - 1) / speedSegments;
-}
-
-int dwellSteps(const rail::TimedStop& stop, Resolution resolution) {
-    if (stop.dwell.count() <= 0) {
-        return 1;
-    }
-    const auto steps = (stop.dwell.count() + resolution.temporal.count() - 1) /
-                       resolution.temporal.count();
-    return std::max(static_cast<int>(steps), 1);
-}
-
-ReachAnalysis::ReachAnalysis(const rail::SegmentGraph& graph, std::vector<ReachRun> runs,
-                             int horizonSteps)
-    : runs_(std::move(runs)), horizonSteps_(horizonSteps), numSegments_(graph.numSegments()) {
+ReachAnalysis::ReachAnalysis(const rail::SegmentGraph& graph,
+                             std::span<const rail::DiscreteRun> runs, int horizonSteps)
+    : runs_(runs.begin(), runs.end()),
+      horizonSteps_(horizonSteps),
+      numSegments_(graph.numSegments()) {
     ETCS_REQUIRE_MSG(horizonSteps_ > 0, "reach analysis needs a positive horizon");
     allowed_.resize(runs_.size());
     cutoff_.assign(runs_.size(), horizonSteps_ - 1);
     prompt_.assign(runs_.size(), 0);
     for (std::size_t run = 0; run < runs_.size(); ++run) {
-        const ReachRun& r = runs_[run];
+        const rail::DiscreteRun& r = runs_[run];
         ETCS_REQUIRE_MSG(r.speedSegments >= 1, "reach analysis needs speed >= 1 seg/step");
         ETCS_REQUIRE_MSG(r.departureStep >= 0 && r.departureStep < horizonSteps_,
                          "reach analysis needs departure inside the horizon");
@@ -79,15 +43,18 @@ ReachAnalysis::ReachAnalysis(const rail::SegmentGraph& graph, std::vector<ReachR
 }
 
 void ReachAnalysis::analyzeRun(const rail::SegmentGraph& graph, std::size_t runIndex) {
-    const ReachRun& r = runs_[runIndex];
+    const rail::DiscreteRun& r = runs_[runIndex];
     const int H = horizonSteps_;
     const std::size_t S = numSegments_;
+    const auto travel = [&r](int distance) {
+        return rail::travelLowerBound(distance, r.lengthSegments, r.speedSegments);
+    };
 
-    const std::vector<int> distOrigin = bfsDistances(graph, r.originSegment);
-    std::vector<std::vector<int>> distStop;
-    distStop.reserve(r.stops.size());
-    for (const ReachStop& stop : r.stops) {
-        distStop.push_back(bfsDistances(graph, stop.segment));
+    std::vector<int> distOrigin(S);
+    graph.distancesFrom(r.originSegment, distOrigin);
+    std::vector<std::vector<int>> distStop(r.stops.size(), std::vector<int>(S));
+    for (std::size_t j = 0; j < r.stops.size(); ++j) {
+        graph.distancesFrom(r.stops[j].segment, distStop[j]);
     }
 
     // Prompt-model cutoff (docs/REACHABILITY.md): when every stop is pinned
@@ -95,14 +62,14 @@ void ReachAnalysis::analyzeRun(const rail::SegmentGraph& graph, std::size_t runI
     // transformed into one where the run is done right after its final
     // obligation, so no cell after max(arrival + dwell - 1) is ever needed.
     const bool fullyPinned =
-        !r.stops.empty() && std::all_of(r.stops.begin(), r.stops.end(), [](const ReachStop& s) {
-            return s.arrivalStep.has_value();
-        });
+        !r.stops.empty() &&
+        std::all_of(r.stops.begin(), r.stops.end(),
+                    [](const rail::DiscreteStop& s) { return s.arrivalStep.has_value(); });
     if (fullyPinned) {
-        const ReachStop& dest = r.stops.back();
+        const rail::DiscreteStop& dest = r.stops.back();
         const int destEnd = *dest.arrivalStep + dest.dwellSteps - 1;
         const bool destEndsLast =
-            std::all_of(r.stops.begin(), r.stops.end(), [&](const ReachStop& s) {
+            std::all_of(r.stops.begin(), r.stops.end(), [&](const rail::DiscreteStop& s) {
                 return *s.arrivalStep + s.dwellSteps - 1 <= destEnd;
             });
         if (destEndsLast && destEnd < H - 1) {
@@ -120,8 +87,7 @@ void ReachAnalysis::analyzeRun(const rail::SegmentGraph& graph, std::size_t runI
         if (distOrigin[s] < 0) {
             continue;
         }
-        const int first =
-            r.departureStep + travelLowerBound(distOrigin[s], r.lengthSegments, r.speedSegments);
+        const int first = r.departureStep + travel(distOrigin[s]);
         for (int t = std::max(first, r.departureStep); t <= cutoff; ++t) {
             cells[s * static_cast<std::size_t>(H) + static_cast<std::size_t>(t)] = 1;
         }
@@ -157,13 +123,13 @@ void ReachAnalysis::analyzeRun(const rail::SegmentGraph& graph, std::size_t runI
                 }
                 bool ok = true;
                 for (std::size_t j = 0; j < r.stops.size() && ok; ++j) {
-                    const ReachStop& stop = r.stops[j];
+                    const rail::DiscreteStop& stop = r.stops[j];
                     const int d = distStop[j][s];
                     if (d < 0) {
                         ok = false;  // disconnected from an obligatory stop
                         break;
                     }
-                    const int tl = travelLowerBound(d, r.lengthSegments, r.speedSegments);
+                    const int tl = travel(d);
                     if (tl == 0) {
                         continue;  // the train body can cover both at once
                     }
@@ -201,7 +167,7 @@ void ReachAnalysis::analyzeRun(const rail::SegmentGraph& graph, std::size_t runI
 }
 
 void ReachAnalysis::collectViolations(std::size_t runIndex) {
-    const ReachRun& r = runs_[runIndex];
+    const rail::DiscreteRun& r = runs_[runIndex];
     if (!possible(runIndex, r.originSegment, r.departureStep)) {
         violations_.push_back(ReachViolation{runIndex, -1,
                                              ReachViolation::Kind::OriginUnreachable,
@@ -209,7 +175,7 @@ void ReachAnalysis::collectViolations(std::size_t runIndex) {
         return;  // with no admissible departure cell everything else is moot
     }
     for (std::size_t j = 0; j < r.stops.size(); ++j) {
-        const ReachStop& stop = r.stops[j];
+        const rail::DiscreteStop& stop = r.stops[j];
         if (stop.arrivalStep) {
             const int first = *stop.arrivalStep;
             const int last = std::min(first + stop.dwellSteps - 1, horizonSteps_ - 1);
@@ -260,22 +226,15 @@ StepWindow ReachAnalysis::window(std::size_t run, SegmentId segment) const {
 ScheduleReach analyzeSchedule(const rail::SegmentGraph& graph, const rail::TrainSet& trains,
                               const rail::Schedule& schedule) {
     ScheduleReach result;
-    const Resolution resolution = graph.resolution();
-    const Seconds horizon = schedule.horizon();
-    if (horizon.count() <= 0) {
+    rail::DiscreteSchedule discrete = rail::discretize(graph, trains, schedule);
+    const int horizonSteps = discrete.horizonSteps;
+    if (horizonSteps == 0) {
         return result;  // lintSchedule reports L023; nothing to analyze
     }
-    const int horizonSteps = resolution.stepOf(horizon) + 1;
 
-    std::vector<ReachRun> runs;
-    for (std::size_t index = 0; index < schedule.runs().size(); ++index) {
-        const rail::TrainRun& run = schedule.runs()[index];
-        const rail::Train& train = trains.train(run.train);
-        ReachRun r;
-        r.originSegment = graph.segmentOfStation(run.origin);
-        r.departureStep = resolution.stepOf(run.departure);
-        r.lengthSegments = train.lengthSegments(resolution);
-        r.speedSegments = train.speedSegments(resolution);
+    std::vector<rail::DiscreteRun> runs;
+    for (std::size_t index = 0; index < discrete.runs.size(); ++index) {
+        rail::DiscreteRun& r = discrete.runs[index];
         // Runs with structural defects the schedule linter already rejects
         // (L020/L021/L022/L023) are skipped, not re-reported.
         if (r.speedSegments < 1 || r.departureStep < 0 || r.departureStep >= horizonSteps) {
@@ -284,25 +243,20 @@ ScheduleReach analyzeSchedule(const rail::SegmentGraph& graph, const rail::Train
         bool structurallySound = true;
         SegmentId previous = r.originSegment;
         int lastPinnedStep = r.departureStep;
-        for (const rail::TimedStop& stop : run.stops) {
-            ReachStop rs;
-            rs.segment = graph.segmentOfStation(stop.station);
-            rs.dwellSteps = dwellSteps(stop, resolution);
-            if (graph.distance(previous, rs.segment) < 0) {
+        for (const rail::DiscreteStop& stop : r.stops) {
+            if (graph.distance(previous, stop.segment) < 0) {
                 structurallySound = false;
                 break;
             }
-            if (stop.arrival) {
-                const int arrivalStep = resolution.stepOf(*stop.arrival);
-                if (arrivalStep < lastPinnedStep || arrivalStep + rs.dwellSteps > horizonSteps) {
+            if (stop.arrivalStep) {
+                if (*stop.arrivalStep < lastPinnedStep ||
+                    *stop.arrivalStep + stop.dwellSteps > horizonSteps) {
                     structurallySound = false;
                     break;
                 }
-                rs.arrivalStep = arrivalStep;
-                lastPinnedStep = arrivalStep;
+                lastPinnedStep = *stop.arrivalStep;
             }
-            previous = rs.segment;
-            r.stops.push_back(rs);
+            previous = stop.segment;
         }
         if (!structurallySound) {
             continue;
@@ -310,7 +264,7 @@ ScheduleReach analyzeSchedule(const rail::SegmentGraph& graph, const rail::Train
         runs.push_back(std::move(r));
         result.scheduleRunIndex.push_back(index);
     }
-    result.analysis.emplace(graph, std::move(runs), horizonSteps);
+    result.analysis.emplace(graph, runs, horizonSteps);
     return result;
 }
 
@@ -367,9 +321,9 @@ void lintReachability(const rail::SegmentGraph& graph, const rail::TrainSet& tra
                 report.add(Diagnostic{
                     "R002", Severity::Error, who,
                     "dead stop: the dwell at " + where + " (" +
-                        std::to_string(
-                            dwellSteps(run.stops[static_cast<std::size_t>(v.stopIndex)],
-                                       graph.resolution())) +
+                        std::to_string(analysis.run(v.run)
+                                           .stops[static_cast<std::size_t>(v.stopIndex)]
+                                           .dwellSteps) +
                         " steps) cannot fit inside the stop's reachability window "
                         "(schedule provably unsatisfiable)",
                     "shorten the dwell, extend the horizon, or relax the deadlines"});
@@ -385,7 +339,7 @@ void lintReachability(const rail::SegmentGraph& graph, const rail::TrainSet& tra
         if (runHasError[run] != 0) {
             continue;
         }
-        const ReachRun& r = analysis.run(run);
+        const rail::DiscreteRun& r = analysis.run(run);
         const std::size_t scheduleRun = reach.scheduleRunIndex[run];
         const rail::TrainRun& trainRun = schedule.runs()[scheduleRun];
         const std::string who = "train " + trains.train(trainRun.train).name;
@@ -399,7 +353,7 @@ void lintReachability(const rail::SegmentGraph& graph, const rail::TrainSet& tra
             for (std::size_t k = j + 1; k < r.stops.size(); ++k) {
                 const int distance = graph.distance(r.stops[j].segment, r.stops[k].segment);
                 const int travel =
-                    travelLowerBound(distance, r.lengthSegments, r.speedSegments);
+                    rail::travelLowerBound(distance, r.lengthSegments, r.speedSegments);
                 const int bound = r.stops[k].arrivalStep
                                       ? *r.stops[k].arrivalStep - travel
                                       : (analysis.horizonSteps() - r.stops[k].dwellSteps) -

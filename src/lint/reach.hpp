@@ -18,7 +18,10 @@
 ///    (diagnostics R001/R002, emitted by lintReachability).
 ///
 /// The analysis lives in the lint layer (rail-level types only) so both the
-/// linter and the core encoder (via core/pruning.hpp) can consume it.
+/// linter and the core encoder (via core/pruning.hpp) can consume it. Both
+/// hand it the runs of rail::discretize and reason with the one
+/// rail::travelLowerBound, so the gate, the encoder's pruning and
+/// `etcslint --reach` read one mapping.
 #pragma once
 
 #include <cstdint>
@@ -27,6 +30,7 @@
 #include <vector>
 
 #include "lint/diagnostics.hpp"
+#include "railway/discretize.hpp"
 #include "railway/schedule.hpp"
 #include "railway/segment_graph.hpp"
 #include "railway/train.hpp"
@@ -34,17 +38,6 @@
 #include "util/units.hpp"
 
 namespace etcs::lint {
-
-/// Earliest number of steps a train needs to bring any of its segments from
-/// covering `from` to covering a segment `distance` hops away: the graph
-/// distance minus the body slack (a train of k segments covering `from` may
-/// already reach k-1 segments further), divided by the per-step advance.
-/// Sound: never overestimates. Mirrors the rounding of core::Instance.
-[[nodiscard]] int travelLowerBound(int distance, int lengthSegments, int speedSegments);
-
-/// Number of discrete steps a stop must be held (mirrors core::Instance so
-/// lint bounds and the encoding agree exactly).
-[[nodiscard]] int dwellSteps(const rail::TimedStop& stop, Resolution resolution);
 
 /// Interval hull of the allowed steps at one (run, segment): empty when
 /// latest < earliest. The hull loses "gaps" (a pinned stop elsewhere can
@@ -58,23 +51,6 @@ struct StepWindow {
         return step >= earliest && step <= latest;
     }
     [[nodiscard]] int width() const noexcept { return empty() ? 0 : latest - earliest + 1; }
-};
-
-/// A stop brought onto the discrete grid (mirrors core::DiscreteStop without
-/// depending on the core layer).
-struct ReachStop {
-    SegmentId segment;
-    std::optional<int> arrivalStep;  ///< pinned arrival step, if timed
-    int dwellSteps = 1;              ///< consecutive steps the stop is held
-};
-
-/// One train's run on the discrete grid (mirrors core::DiscreteRun).
-struct ReachRun {
-    SegmentId originSegment;
-    int departureStep = 0;
-    int lengthSegments = 1;
-    int speedSegments = 1;  ///< must be >= 1 (callers filter L020 runs)
-    std::vector<ReachStop> stops;  ///< back() is the destination; may be empty
 };
 
 /// A scheduled obligation the analysis proved unsatisfiable. Every violation
@@ -97,15 +73,18 @@ struct ReachViolation {
 /// (bounded) fixpoint; all queries are O(1) table lookups afterwards.
 class ReachAnalysis {
 public:
-    /// `horizonSteps` counts the steps t_0 .. t_{H-1} (as core::Instance).
-    /// Requires speedSegments >= 1 and 0 <= departureStep < horizonSteps for
-    /// every run; filter structurally broken runs (L020/L023) first.
-    ReachAnalysis(const rail::SegmentGraph& graph, std::vector<ReachRun> runs,
+    /// `runs` come from rail::discretize (core::Instance holds them too);
+    /// `horizonSteps` counts the steps t_0 .. t_{H-1}. Requires
+    /// speedSegments >= 1 and 0 <= departureStep < horizonSteps for every
+    /// run; filter structurally broken runs (L020/L023) first.
+    ReachAnalysis(const rail::SegmentGraph& graph, std::span<const rail::DiscreteRun> runs,
                   int horizonSteps);
 
     [[nodiscard]] std::size_t numRuns() const noexcept { return runs_.size(); }
     [[nodiscard]] int horizonSteps() const noexcept { return horizonSteps_; }
-    [[nodiscard]] const ReachRun& run(std::size_t index) const { return runs_.at(index); }
+    [[nodiscard]] const rail::DiscreteRun& run(std::size_t index) const {
+        return runs_.at(index);
+    }
 
     /// Exact per-cell verdict: can `run` possibly occupy `segment` at `step`?
     /// False is a sound exclusion (see file comment); true is "don't know".
@@ -150,7 +129,7 @@ private:
     void analyzeRun(const rail::SegmentGraph& graph, std::size_t runIndex);
     void collectViolations(std::size_t runIndex);
 
-    std::vector<ReachRun> runs_;
+    std::vector<rail::DiscreteRun> runs_;
     int horizonSteps_ = 0;
     std::size_t numSegments_ = 0;
     // allowed_[run][segment * H + step] — 1 iff the cell may be occupied.
@@ -162,8 +141,8 @@ private:
     std::uint64_t possibleCells_ = 0;
 };
 
-/// Builds ReachRuns from a rail-level schedule, mirroring core::Instance
-/// discretization. Runs that carry structural schedule defects the basic
+/// Runs the analysis on a rail-level schedule, discretized by
+/// rail::discretize. Runs that carry structural schedule defects the basic
 /// linter already reports (L020 zero speed, L021 disconnected stops,
 /// L022 time travel, L023 horizon overruns) are skipped; `scheduleRunIndex`
 /// maps each analysis run back to its position in `schedule.runs()`.

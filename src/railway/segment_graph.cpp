@@ -138,32 +138,6 @@ std::vector<Chain> SegmentGraph::chains(int length) const {
     return result;
 }
 
-std::vector<SegmentId> SegmentGraph::reachableWithin(SegmentId from, int maxDistance) const {
-    std::vector<int> dist(segments_.size(), -1);
-    std::deque<SegmentId> queue{from};
-    dist[from.get()] = 0;
-    std::vector<SegmentId> result{from};
-    while (!queue.empty()) {
-        const SegmentId current = queue.front();
-        queue.pop_front();
-        if (dist[current.get()] == maxDistance) {
-            continue;
-        }
-        const Segment& cs = segment(current);
-        for (SegNodeId end : {cs.a, cs.b}) {
-            for (SegmentId next : incidence_[end.get()]) {
-                if (dist[next.get()] >= 0) {
-                    continue;
-                }
-                dist[next.get()] = dist[current.get()] + 1;
-                queue.push_back(next);
-                result.push_back(next);
-            }
-        }
-    }
-    return result;
-}
-
 void SegmentGraph::pathsDfs(SegNodeId head, SegmentId target, int maxLength,
                             std::vector<SegmentId>& path, std::vector<char>& nodeUsed,
                             std::vector<SegmentPath>& out,
@@ -309,6 +283,27 @@ int SegmentGraph::distance(SegmentId from, SegmentId to) const {
         }
     }
     return -1;
+}
+
+void SegmentGraph::distancesFrom(SegmentId source, std::span<int> out) const {
+    ETCS_REQUIRE_MSG(out.size() == segments_.size(), "one distance per segment expected");
+    std::fill(out.begin(), out.end(), -1);
+    std::vector<SegmentId> queue;
+    queue.reserve(segments_.size());
+    queue.push_back(source);
+    out[source.get()] = 0;
+    for (std::size_t head = 0; head < queue.size(); ++head) {
+        const Segment& cs = segments_[queue[head].get()];
+        const int next = out[queue[head].get()] + 1;
+        for (SegNodeId end : {cs.a, cs.b}) {
+            for (SegmentId neighbour : incidence_[end.get()]) {
+                if (out[neighbour.get()] < 0) {
+                    out[neighbour.get()] = next;
+                    queue.push_back(neighbour);
+                }
+            }
+        }
+    }
 }
 
 SegmentPath SegmentGraph::shortestPath(SegmentId from, SegmentId to) const {

@@ -1,7 +1,8 @@
 /// \file segment_graph.hpp
 /// The discretized segment graph G=(V,E) of paper Sec. III-A and the graph
-/// algorithms the encoding needs: chains(l), reachable(e,tr), paths(e,f,tr),
-/// between(e,f), and VSS section decomposition.
+/// algorithms the encoding needs: chains(l), paths(e,f,tr), between(e,f),
+/// hop distances (reachable(e,tr) is distance <= speed), and VSS section
+/// decomposition.
 ///
 /// Every track of the physical network is partitioned into segments of (at
 /// most) the spatial resolution r_s.  Segment-graph nodes are the candidate
@@ -80,11 +81,6 @@ public:
     /// chains(l)). Each chain is reported once (direction-canonical).
     [[nodiscard]] std::vector<Chain> chains(int length) const;
 
-    /// All segments within `maxDistance` segment-hops of `from`, including
-    /// `from` itself (the paper's reachable(e, tr) with maxDistance =
-    /// segments-per-step of the train).
-    [[nodiscard]] std::vector<SegmentId> reachableWithin(SegmentId from, int maxDistance) const;
-
     /// All node-simple paths from `from` to `to` with at most `maxLength`
     /// segments, both endpoints included (the paper's paths(e, f, tr)).
     [[nodiscard]] std::vector<SegmentPath> simplePaths(SegmentId from, SegmentId to,
@@ -109,6 +105,11 @@ public:
 
     /// Shortest hop distance between two segments (-1 if disconnected).
     [[nodiscard]] int distance(SegmentId from, SegmentId to) const;
+
+    /// Hop distances from `source` to every segment (-1 if disconnected),
+    /// written into `out` (one entry per segment): one row of the distance
+    /// table, without holding the table. Each row equals `distance`.
+    void distancesFrom(SegmentId source, std::span<int> out) const;
 
     /// A shortest segment path between two segments (empty if disconnected);
     /// used by the simulator for route construction.

@@ -8,6 +8,7 @@
 #include <span>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "core/analysis.hpp"
 #include "core/validator.hpp"
@@ -15,6 +16,7 @@
 #include "studies/studies.hpp"
 #include "support/cancelling_backend.hpp"
 #include "support/forwarding_backend.hpp"
+#include "support/single_train_line.hpp"
 
 namespace etcs::core {
 namespace {
@@ -295,13 +297,78 @@ TEST_F(AnalysisFixture, SlackOnFinestLayoutMatchesPhysicalBounds) {
         const auto& run = timed.runs()[r];
         const int travel = timed.segmentDistance(run.originSegment,
                                                  run.destination().segment);
-        const int bound = run.departureStep +
-                          (travel + run.speedSegments - 1) / run.speedSegments;
+        const int bound =
+            run.departureStep +
+            rail::travelLowerBound(travel, run.lengthSegments, run.speedSegments);
         EXPECT_GE(report.tightestArrivalStep[r], bound);
         EXPECT_LE(report.tightestArrivalStep[r], *run.destination().arrivalStep);
         EXPECT_EQ(report.slackSteps[r],
                   *run.destination().arrivalStep - report.tightestArrivalStep[r]);
     }
+}
+
+/// The single train of test::SingleTrainLine covers B with its body at
+/// departure (9 segments long, B 7 hops away), so on the pure layout it can
+/// be pinned at B as early as step 0. A bound blind to the body would stop
+/// the search at step 2.
+TEST(AnalysisBodySlack, SlackReachesTheDepartureStep) {
+    const test::SingleTrainLine line(500, 900, 30, Seconds::fromMinutes(10),
+                                     Seconds::fromMinutes(5));
+    const Instance instance(line.network, line.trains, line.schedule, line.kResolution);
+    const auto report = scheduleSlack(instance, VssLayout(instance.graph()));
+    EXPECT_EQ(report.tightestArrivalStep, std::vector<int>{0});
+    EXPECT_EQ(report.slackSteps, std::vector<int>{5});
+}
+
+/// The same train with B open: both arrival-objective variants find the
+/// one-step completion, at a 3-step horizon as at an 11-step one.
+TEST(AnalysisBodySlack, ArrivalObjectivesFindTheOneStepCompletion) {
+    for (const int minutes : {2, 10}) {
+        SCOPED_TRACE(std::to_string(minutes) + " min horizon");
+        const test::SingleTrainLine line(500, 900, 30, Seconds::fromMinutes(minutes));
+        const Instance instance(line.network, line.trains, line.schedule, line.kResolution);
+
+        const auto arrivals = optimizeIndividualArrivals(instance);
+        ASSERT_TRUE(arrivals.feasible);
+        EXPECT_EQ(arrivals.doneSteps, std::vector<int>{1});
+        EXPECT_TRUE(validateSolution(instance, *arrivals.solution).empty());
+
+        const auto curve = tradeoffCurve(instance, 1);
+        ASSERT_FALSE(curve.points.empty());
+        EXPECT_EQ(curve.points[0].extraBorders, 0);
+        EXPECT_TRUE(curve.points[0].feasible);
+        EXPECT_EQ(curve.points[0].completionSteps, 1);
+    }
+}
+
+/// A probe below an intermediate stop's pinned arrival is no schedule at
+/// all (Instance rejects it); the search starts at that arrival instead.
+TEST(AnalysisSlack, IntermediatePinnedStopBoundsTheSearch) {
+    rail::Network network("via");
+    const auto n0 = network.addNode("n0");
+    const auto n1 = network.addNode("n1");
+    const auto n2 = network.addNode("n2");
+    const auto t0 = network.addTrack("t0", n0, n1, Meters(2000));
+    const auto t1 = network.addTrack("t1", n1, n2, Meters(2000));
+    network.addTtd("T0", {t0});
+    network.addTtd("T1", {t1});
+    rail::TrainSet trains;
+    rail::TrainRun run;
+    run.train = trains.addTrain("T", Speed::fromKmPerHour(60), Meters(100));
+    run.origin = network.addStation("A", t0, Meters(0));
+    run.departure = Seconds(0);
+    run.stops.push_back(
+        rail::TimedStop{network.addStation("M", t1, Meters(0)), Seconds::fromMinutes(8)});
+    run.stops.push_back(
+        rail::TimedStop{network.addStation("B", t1, Meters(2000)), Seconds::fromMinutes(10)});
+    rail::Schedule schedule;
+    schedule.addRun(run);
+    const Instance instance(network, trains, schedule, Resolution{Meters(500), Seconds(60)});
+
+    SlackReport report;
+    ASSERT_NO_THROW(report = scheduleSlack(instance, VssLayout(instance.graph())));
+    EXPECT_EQ(report.tightestArrivalStep, std::vector<int>{10});
+    EXPECT_EQ(report.slackSteps, std::vector<int>{0});
 }
 
 TEST_F(AnalysisFixture, SlackTightenedScheduleStaysFeasible) {

@@ -86,6 +86,14 @@ const std::string kSatSolve = ETCS_SAT_SOLVE_BIN;
 const std::string kData = ETCS_DATA_DIR;
 const std::string kFixtures = ETCS_FIXTURE_DIR;
 
+/// The whole content of a file.
+std::string fileText(const std::string& path) {
+    std::ifstream in(path);
+    std::stringstream buffer;
+    buffer << in.rdbuf();
+    return buffer.str();
+}
+
 /// Write `content` to a per-process temp file and return its path.
 std::string writeTempFile(const std::string& stem, const std::string& content) {
     const std::string path =
@@ -590,6 +598,71 @@ TEST(BenchdiffCli, MalformedThresholdIsAUsageError) {
         EXPECT_EQ(result.exitCode, 2) << result.output;
         EXPECT_NE(result.output.find("usage: benchdiff"), std::string::npos) << result.output;
     }
+}
+
+// Running out of memory is an error like any other: a tool whose
+// allocation fails reports it and exits 2 instead of aborting. Each command
+// runs under a 2 GB address-space limit, which ASan and TSan builds exceed
+// on their own reservations, so those skip.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+constexpr bool kSanitizerReservesAddressSpace = true;
+#else
+constexpr bool kSanitizerReservesAddressSpace = false;
+#endif
+
+std::string underTwoGigabytes(const std::string& command) {
+    return "(ulimit -v 2000000; " + command + ")";
+}
+
+/// data/quickstart.* with lineW lengthened to 200 km and both arrivals moved
+/// to 5:00: at r_s = 1 m about 204,000 segments, whose all-pairs distance
+/// table (core::Instance) would need about 166 GB.
+std::string longQuickstartFiles() {
+    std::string rail = fileText(kData + "/quickstart.rail");
+    const std::string lineW = "track lineW west loopIn 2000\n";
+    rail.replace(rail.find(lineW), lineW.size(), "track lineW west loopIn 200000\n");
+    std::string sched = fileText(kData + "/quickstart.sched");
+    for (std::size_t at = sched.find("arr 0:08"); at != std::string::npos;
+         at = sched.find("arr 0:08")) {
+        sched.replace(at, 8, "arr 5:00");
+    }
+    const std::string railPath =
+        testing::TempDir() + "cli_test_long_line." + std::to_string(::getpid()) + ".rail";
+    std::ofstream(railPath) << rail;
+    return railPath + " " + writeSchedFile("cli_test_long_line", sched);
+}
+
+TEST(SatSolveCli, OutOfMemoryExitsTwo) {
+    if (kSanitizerReservesAddressSpace) {
+        GTEST_SKIP() << "sanitizers reserve more than the address-space limit";
+    }
+    const std::string cnf =
+        writeTempFile("sat_solve_oom.cnf", "p cnf 1000000000 1\n1 0\n");
+    const auto result = run(underTwoGigabytes(kSatSolve + " " + cnf));
+    EXPECT_EQ(result.exitCode, 2) << result.output;
+    EXPECT_NE(result.output.find("error: std::bad_alloc"), std::string::npos) << result.output;
+    std::remove(cnf.c_str());
+}
+
+TEST(EtcsCli, OutOfMemoryExitsTwo) {
+    if (kSanitizerReservesAddressSpace) {
+        GTEST_SKIP() << "sanitizers reserve more than the address-space limit";
+    }
+    const auto result = run(
+        underTwoGigabytes(kEtcsCli + " verify " + longQuickstartFiles() + " --rs 1 --rt 60"));
+    EXPECT_EQ(result.exitCode, 2) << result.output;
+    EXPECT_NE(result.output.find("error: std::bad_alloc"), std::string::npos) << result.output;
+}
+
+/// The linter discretizes the same 200 km line without an all-pairs table:
+/// SegmentGraph stays linear in the number of segments.
+TEST(EtcslintCli, LongLineAtOneMetreFitsInTwoGigabytes) {
+    if (kSanitizerReservesAddressSpace) {
+        GTEST_SKIP() << "sanitizers reserve more than the address-space limit";
+    }
+    const auto result =
+        run(underTwoGigabytes(kLint + " --rs 1 --rt 60 " + longQuickstartFiles()));
+    EXPECT_EQ(result.exitCode, 0) << result.output;
 }
 
 }  // namespace

@@ -2,13 +2,19 @@
 //  * every decoded solution passes the independent validator,
 //  * SAT results are consistent with the greedy simulator oracle,
 //  * layout refinement is monotone (adding borders never hurts),
-//  * tightening the horizon is monotone for the optimizer.
+//  * tightening the horizon is monotone for the optimizer,
+//  * the completion-time search returns the true optimum.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+
+#include "cnf/backend.hpp"
 #include "core/tasks.hpp"
 #include "core/validator.hpp"
 #include "sim/simulator.hpp"
 #include "studies/studies.hpp"
+#include "support/single_train_line.hpp"
 
 namespace etcs::core {
 namespace {
@@ -146,6 +152,45 @@ TEST(Property, VerifyGenerateConsistency) {
         const bool generate = generateLayout(timed).feasible;
         EXPECT_EQ(verifyFinest, generate) << "trains=" << trains;
     }
+}
+
+/// The true optimum is the first step t >= 1 at which the done-all selector
+/// is satisfiable on a fresh encoding. optimizeSchedule searches up from
+/// Instance::completionLowerBound, so a bound above the optimum (one that
+/// ignores how far a long train's body reaches) skips it.
+TEST(Property, CompletionSearchFindsTheTrueOptimumOnSingleTrainLines) {
+    int cases = 0;
+    for (const std::int64_t trainMetres : {100, 250, 450, 650, 900}) {
+        for (const std::int64_t lineMetres : {300, 500, 700, 1100, 1600}) {
+            for (const std::int64_t kmh : {30, 60, 90}) {
+                SCOPED_TRACE("train " + std::to_string(trainMetres) + " m, line " +
+                             std::to_string(lineMetres) + " m, " + std::to_string(kmh) +
+                             " km/h");
+                const test::SingleTrainLine line(lineMetres, trainMetres, kmh,
+                                                 Seconds::fromMinutes(10));
+                const Instance instance(line.network, line.trains, line.schedule,
+                                        line.kResolution);
+                int optimum = -1;
+                for (int t = 1; t < instance.horizonSteps() && optimum < 0; ++t) {
+                    const auto backend = cnf::makeInternalBackend();
+                    Encoder encoder(*backend, instance);
+                    encoder.encode(nullptr);
+                    const cnf::Literal doneAll[] = {encoder.doneAllLiteral(t)};
+                    if (backend->solve(doneAll) == cnf::SolveStatus::Sat) {
+                        optimum = t;
+                    }
+                }
+                ASSERT_GE(optimum, 1);
+                EXPECT_LE(instance.completionLowerBound(), optimum);
+                const auto result = optimizeSchedule(instance);
+                ASSERT_TRUE(result.feasible) << toString(result.verdict);
+                EXPECT_EQ(result.completionSteps, optimum);
+                EXPECT_TRUE(validateSolution(instance, *result.solution).empty());
+                ++cases;
+            }
+        }
+    }
+    EXPECT_EQ(cases, 75);
 }
 
 }  // namespace

@@ -9,8 +9,13 @@
 ///     dangerous corner: a skipped pin clause must not turn UNSAT into SAT);
 ///   * oracle — every cell a completed greedy simulation occupies is
 ///     admitted by the analysis (simulator-reachable subset of windows).
+/// Both consumers take their runs from rail::discretize; the gate and the
+/// linter are checked to agree cell by cell.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <filesystem>
+#include <fstream>
 #include <optional>
 #include <string>
 #include <vector>
@@ -25,11 +30,18 @@
 #include "gen/generator.hpp"
 #include "gen/oracle.hpp"
 #include "lint/reach.hpp"
+#include "railway/io.hpp"
 #include "railway/segment_graph.hpp"
+#include "studies/studies.hpp"
+
+#ifndef ETCS_FIXTURE_DIR
+#error "ETCS_FIXTURE_DIR must point at tests/fixtures/"
+#endif
 
 namespace etcs::lint {
 namespace {
 
+using rail::DiscreteRun;
 using rail::Network;
 using rail::Schedule;
 using rail::SegmentGraph;
@@ -75,14 +87,6 @@ struct LineWorld {
     }
 };
 
-TEST(Reach, TravelLowerBoundMirrorsInstanceRounding) {
-    EXPECT_EQ(travelLowerBound(0, 1, 1), 0);
-    EXPECT_EQ(travelLowerBound(5, 1, 1), 5);
-    EXPECT_EQ(travelLowerBound(5, 1, 2), 3);  // ceil(5 / 2)
-    EXPECT_EQ(travelLowerBound(5, 3, 2), 2);  // body slack: ceil((5 - 2) / 2)
-    EXPECT_EQ(travelLowerBound(1, 4, 1), 0);  // the body already covers it
-}
-
 TEST(Reach, StepWindowBasics) {
     const StepWindow empty;
     EXPECT_TRUE(empty.empty());
@@ -100,31 +104,31 @@ TEST(Reach, StepWindowBasics) {
 
 /// Hand-built runs covering the three shapes the analysis distinguishes:
 /// fully pinned (prompt cutoff), open destination, and mixed pin + open.
-std::vector<ReachRun> lineRuns(const SegmentGraph& graph, const LineWorld& w) {
+std::vector<DiscreteRun> lineRuns(const SegmentGraph& graph, const LineWorld& w) {
     const SegmentId origin = graph.segmentOfStation(*w.network.findStation("StA"));
     const SegmentId middle = graph.segmentOfStation(*w.network.findStation("StM"));
     const SegmentId dest = graph.segmentOfStation(*w.network.findStation("StB"));
-    std::vector<ReachRun> runs;
+    std::vector<DiscreteRun> runs;
     {
-        ReachRun pinned;
+        DiscreteRun pinned;
         pinned.originSegment = origin;
         pinned.speedSegments = 2;
-        pinned.stops.push_back(ReachStop{dest, 4, 2});
+        pinned.stops.push_back({.segment = dest, .arrivalStep = 4, .dwellSteps = 2});
         runs.push_back(pinned);
     }
     {
-        ReachRun open;
+        DiscreteRun open;
         open.originSegment = origin;
         open.speedSegments = 2;
-        open.stops.push_back(ReachStop{dest, std::nullopt, 1});
+        open.stops.push_back({.segment = dest, .dwellSteps = 1});
         runs.push_back(open);
     }
     {
-        ReachRun mixed;
+        DiscreteRun mixed;
         mixed.originSegment = origin;
         mixed.speedSegments = 2;
-        mixed.stops.push_back(ReachStop{middle, 2, 1});
-        mixed.stops.push_back(ReachStop{dest, std::nullopt, 2});
+        mixed.stops.push_back({.segment = middle, .arrivalStep = 2, .dwellSteps = 1});
+        mixed.stops.push_back({.segment = dest, .dwellSteps = 2});
         runs.push_back(mixed);
     }
     return runs;
@@ -179,11 +183,11 @@ TEST(Reach, PinnedRaysCarveNonConvexExclusions) {
     const SegmentGraph graph(w.network, kRes);
     const SegmentId origin = graph.segmentOfStation(*w.network.findStation("StA"));
     const SegmentId dest = graph.segmentOfStation(*w.network.findStation("StB"));
-    ReachRun slow;
+    DiscreteRun slow;
     slow.originSegment = origin;
     slow.speedSegments = 1;
-    slow.stops.push_back(ReachStop{dest, 5, 1});
-    const ReachAnalysis analysis(graph, {slow}, 10);
+    slow.stops.push_back({.segment = dest, .arrivalStep = 5, .dwellSteps = 1});
+    const ReachAnalysis analysis(graph, std::vector{slow}, 10);
 
     EXPECT_FALSE(analysis.provablyInfeasible());
     const StepWindow atOrigin = analysis.window(0, origin);
@@ -405,6 +409,73 @@ TEST(Reach, ProvablyInfeasibleInstanceStaysUnsatWhenPruned) {
         options.encoder.pruneUnreachable = prune;
         EXPECT_FALSE(core::verifySchedule(instance, finest, options).feasible)
             << (prune ? "pruned" : "full") << " encoding found a bogus model";
+    }
+}
+
+/// The tasks' gate (core::PruneTable over a core::Instance) and
+/// `etcslint --reach` (analyzeSchedule over the rail-level schedule) take
+/// their runs from one rail::discretize: they admit the same cells and
+/// refute the same obligations.
+void expectGateAndLinterAgree(const Network& network, const TrainSet& trains,
+                              const Schedule& schedule, Resolution resolution) {
+    const core::Instance instance(network, trains, schedule, resolution);
+    const core::PruneTable gate(instance);
+    const ScheduleReach linter = analyzeSchedule(instance.graph(), trains, schedule);
+    ASSERT_TRUE(linter.analysis.has_value());
+    const ReachAnalysis& analysis = *linter.analysis;
+    ASSERT_EQ(analysis.horizonSteps(), instance.horizonSteps());
+    ASSERT_EQ(analysis.numRuns(), instance.numRuns());
+    for (std::size_t run = 0; run < instance.numRuns(); ++run) {
+        ASSERT_EQ(linter.scheduleRunIndex[run], run);
+        for (std::size_t s = 0; s < instance.graph().numSegments(); ++s) {
+            for (int t = 0; t < instance.horizonSteps(); ++t) {
+                ASSERT_EQ(gate.possible(run, SegmentId(s), t),
+                          analysis.possible(run, SegmentId(s), t))
+                    << "run " << run << " segment " << s << " step " << t;
+            }
+        }
+    }
+    const auto expected = gate.analysis().violations();
+    const auto actual = analysis.violations();
+    ASSERT_EQ(actual.size(), expected.size());
+    for (std::size_t i = 0; i < expected.size(); ++i) {
+        EXPECT_EQ(actual[i].run, expected[i].run);
+        EXPECT_EQ(actual[i].stopIndex, expected[i].stopIndex);
+        EXPECT_EQ(actual[i].kind, expected[i].kind);
+        EXPECT_EQ(actual[i].step, expected[i].step);
+    }
+}
+
+TEST(Reach, GateAndLinterAgreeOnThePaperStudies) {
+    for (const auto make : {&studies::runningExample, &studies::simpleLayout,
+                            &studies::complexLayout, &studies::nordlandsbanen}) {
+        const studies::CaseStudy study = make();
+        for (const Schedule* schedule : {&study.timedSchedule, &study.openSchedule}) {
+            SCOPED_TRACE(study.name + (schedule == &study.timedSchedule ? " timed" : " open"));
+            expectGateAndLinterAgree(study.network, study.trains, *schedule, study.resolution);
+        }
+    }
+}
+
+TEST(Reach, GateAndLinterAgreeOnTheGeneratedCorpus) {
+    const std::filesystem::path dir = std::filesystem::path(ETCS_FIXTURE_DIR) / "gen";
+    std::vector<std::filesystem::path> rails;
+    for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+        if (entry.path().extension() == ".rail") {
+            rails.push_back(entry.path());
+        }
+    }
+    std::sort(rails.begin(), rails.end());
+    ASSERT_EQ(rails.size(), 10u);
+    for (const auto& railFile : rails) {
+        SCOPED_TRACE(railFile.filename().string());
+        std::ifstream railIn(railFile);
+        const Network network = rail::readNetwork(railIn);
+        std::ifstream schedIn(std::filesystem::path(railFile).replace_extension(".sched"));
+        const rail::Scenario scenario = rail::readScenario(schedIn, network);
+        // Every fixture's manifest records r_s = 500 m, r_t = 60 s.
+        expectGateAndLinterAgree(network, scenario.trains, scenario.schedule,
+                                 Resolution{Meters(500), Seconds(60)});
     }
 }
 

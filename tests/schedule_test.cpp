@@ -4,6 +4,7 @@
 #include <type_traits>
 
 #include "core/instance.hpp"
+#include "railway/discretize.hpp"
 #include "railway/schedule.hpp"
 #include "railway/train.hpp"
 #include "studies/studies.hpp"
@@ -77,6 +78,49 @@ TEST(Schedule, RejectsRunWithoutStops) {
     EXPECT_THROW(s.addRun(run), PreconditionError);
 }
 
+TEST(Discretize, TravelLowerBoundRounding) {
+    EXPECT_EQ(rail::travelLowerBound(0, 1, 1), 0);
+    EXPECT_EQ(rail::travelLowerBound(5, 1, 1), 5);
+    EXPECT_EQ(rail::travelLowerBound(5, 1, 2), 3);  // ceil(5 / 2)
+    EXPECT_EQ(rail::travelLowerBound(5, 3, 2), 2);  // body slack: ceil((5 - 2) / 2)
+    EXPECT_EQ(rail::travelLowerBound(1, 4, 1), 0);  // the body already covers it
+}
+
+TEST(Discretize, MapsTimesOntoStepsWithoutValidating) {
+    const auto study = studies::runningExample();
+    const rail::SegmentGraph graph(study.network, study.resolution);  // r_t = 30 s
+    rail::Schedule s;
+    TrainRun run;
+    run.train = TrainId(1u);  // 700 m: 2 segments
+    run.origin = StationId(0u);
+    run.departure = Seconds(150);
+    run.stops.push_back(TimedStop{StationId(2u), Seconds(60), Seconds(31)});  // before dep
+    run.stops.push_back(TimedStop{StationId(1u), std::nullopt, Seconds(30)});
+    s.addRun(run);
+    s.setHorizon(Seconds(299));
+
+    const rail::DiscreteSchedule d = rail::discretize(graph, study.trains, s);
+    EXPECT_EQ(d.horizonSteps, 10);  // floor(299 / 30) + 1
+    ASSERT_EQ(d.runs.size(), 1u);
+    const rail::DiscreteRun& r = d.runs[0];
+    EXPECT_EQ(r.train, TrainId(1u));
+    EXPECT_EQ(r.originSegment, graph.segmentOfStation(StationId(0u)));
+    EXPECT_EQ(r.departureStep, 5);
+    EXPECT_EQ(r.lengthSegments, 2);
+    EXPECT_EQ(r.speedSegments, study.trains.train(TrainId(1u)).speedSegments(study.resolution));
+    ASSERT_EQ(r.stops.size(), 2u);
+    EXPECT_EQ(r.stops[0].station, StationId(2u));
+    EXPECT_EQ(r.stops[0].segment, graph.segmentOfStation(StationId(2u)));
+    EXPECT_EQ(r.stops[0].arrivalStep, 2);  // kept: rejecting it is the caller's call
+    EXPECT_EQ(r.stops[0].dwellSteps, 2);   // ceil(31 / 30)
+    EXPECT_FALSE(r.stops[1].arrivalStep.has_value());
+    EXPECT_EQ(r.stops[1].dwellSteps, 1);
+    EXPECT_EQ(&r.destination(), &r.stops[1]);
+
+    rail::Schedule empty;
+    EXPECT_EQ(rail::discretize(graph, study.trains, empty).horizonSteps, 0);
+}
+
 TEST(Instance, DiscretizesRunningExample) {
     const auto study = studies::runningExample();
     const core::Instance instance(study.network, study.trains, study.timedSchedule,
@@ -109,25 +153,6 @@ static_assert(!std::is_constructible_v<Instance, const Network&, const TrainSet&
 static_assert(!std::is_constructible_v<Instance, const Network, const TrainSet&,
                                        const Schedule&, Resolution>);
 static_assert(!std::is_constructible_v<Instance, Network, TrainSet, Schedule, Resolution>);
-
-TEST(Instance, SegmentDistanceIsSymmetricAndTriangular) {
-    const auto study = studies::runningExample();
-    const core::Instance instance(study.network, study.trains, study.timedSchedule,
-                                  study.resolution);
-    const auto n = instance.graph().numSegments();
-    for (std::size_t a = 0; a < n; ++a) {
-        EXPECT_EQ(instance.segmentDistance(SegmentId(a), SegmentId(a)), 0);
-        for (std::size_t b = 0; b < n; ++b) {
-            EXPECT_EQ(instance.segmentDistance(SegmentId(a), SegmentId(b)),
-                      instance.segmentDistance(SegmentId(b), SegmentId(a)));
-            for (std::size_t c = 0; c < n; ++c) {
-                EXPECT_LE(instance.segmentDistance(SegmentId(a), SegmentId(c)),
-                          instance.segmentDistance(SegmentId(a), SegmentId(b)) +
-                              instance.segmentDistance(SegmentId(b), SegmentId(c)));
-            }
-        }
-    }
-}
 
 TEST(Instance, RejectsImmobileTrain) {
     const auto study = studies::runningExample();

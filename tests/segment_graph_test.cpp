@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <set>
+#include <vector>
 
 #include "railway/segment_graph.hpp"
 #include "studies/studies.hpp"
@@ -140,28 +141,48 @@ TEST(SegmentGraph, ChainsRespectNodeSimplicity) {
     }
 }
 
-TEST(SegmentGraph, ReachableWithinIncludesSelf) {
-    const Network n = lineNetwork();
-    const SegmentGraph g(n, kHalfKm);
-    const auto reach0 = g.reachableWithin(SegmentId(0u), 0);
-    EXPECT_EQ(reach0.size(), 1u);
-    EXPECT_EQ(reach0[0], SegmentId(0u));
-}
-
-TEST(SegmentGraph, ReachableWithinDistance) {
-    const Network n = lineNetwork();
-    const SegmentGraph g(n, kHalfKm);
-    EXPECT_EQ(g.reachableWithin(SegmentId(0u), 2).size(), 3u);
-    EXPECT_EQ(g.reachableWithin(SegmentId(2u), 2).size(), 5u);
-    EXPECT_EQ(g.reachableWithin(SegmentId(0u), 10).size(), g.numSegments());
-}
-
 TEST(SegmentGraph, DistanceMatchesBfs) {
     const Network n = lineNetwork();
     const SegmentGraph g(n, kHalfKm);
     EXPECT_EQ(g.distance(SegmentId(0u), SegmentId(0u)), 0);
     EXPECT_EQ(g.distance(SegmentId(0u), SegmentId(4u)), 4);
     EXPECT_EQ(g.distance(SegmentId(4u), SegmentId(0u)), 4);
+}
+
+TEST(SegmentGraph, DistanceIsSymmetricAndTriangular) {
+    const auto& study = runningStudy();
+    const SegmentGraph g(study.network, study.resolution);
+    const auto n = g.numSegments();
+    for (std::size_t a = 0; a < n; ++a) {
+        EXPECT_EQ(g.distance(SegmentId(a), SegmentId(a)), 0);
+        for (std::size_t b = 0; b < n; ++b) {
+            EXPECT_EQ(g.distance(SegmentId(a), SegmentId(b)),
+                      g.distance(SegmentId(b), SegmentId(a)));
+            for (std::size_t c = 0; c < n; ++c) {
+                EXPECT_LE(g.distance(SegmentId(a), SegmentId(c)),
+                          g.distance(SegmentId(a), SegmentId(b)) +
+                              g.distance(SegmentId(b), SegmentId(c)));
+            }
+        }
+    }
+}
+
+TEST(SegmentGraph, DistancesFromRowsEqualDistance) {
+    const Network line = lineNetwork();
+    const SegmentGraph lineGraph(line, kHalfKm);
+    const SegmentGraph running(runningStudy().network, runningStudy().resolution);
+    for (const SegmentGraph* g : {&lineGraph, &running}) {
+        std::vector<int> row(g->numSegments(), 42);
+        for (std::size_t from = 0; from < g->numSegments(); ++from) {
+            g->distancesFrom(SegmentId(from), row);
+            for (std::size_t to = 0; to < g->numSegments(); ++to) {
+                EXPECT_EQ(row[to], g->distance(SegmentId(from), SegmentId(to)))
+                    << "from " << from << " to " << to;
+            }
+        }
+    }
+    std::vector<int> tooShort(lineGraph.numSegments() - 1);
+    EXPECT_THROW(lineGraph.distancesFrom(SegmentId(0u), tooShort), PreconditionError);
 }
 
 TEST(SegmentGraph, ShortestPathEndpoints) {

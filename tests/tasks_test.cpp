@@ -13,6 +13,7 @@
 #include "obs/metrics.hpp"
 #include "studies/studies.hpp"
 #include "support/cancelling_backend.hpp"
+#include "support/single_train_line.hpp"
 
 namespace etcs::core {
 namespace {
@@ -257,6 +258,37 @@ TEST(Tasks, IntermediateStopIsHonoured) {
     const auto& atStop = trace.occupied[2];  // 0:01 -> step 2
     EXPECT_NE(std::find(atStop.begin(), atStop.end(), stopSegment), atStop.end());
     EXPECT_TRUE(validateSolution(instance, *result.solution).empty());
+}
+
+/// A 9-segment train whose destination lies 7 hops from its origin covers
+/// it with its body at departure: the completion bound is one step, and
+/// the optimum is one step at a 3-step horizon as at an 11-step one. A
+/// bound blind to the body (ceil(7 / 5) = 2 travel steps) would start the
+/// search at step 3 and call the 3-step horizon too short.
+TEST(Tasks, CompletionBoundCountsTheTrainBody) {
+    const test::SingleTrainLine wide(500, 900, 30, Seconds::fromMinutes(10));
+    const test::SingleTrainLine narrow(500, 900, 30, Seconds::fromMinutes(2));
+    const Instance wideInstance(wide.network, wide.trains, wide.schedule, wide.kResolution);
+    const Instance narrowInstance(narrow.network, narrow.trains, narrow.schedule,
+                                  narrow.kResolution);
+    ASSERT_EQ(wideInstance.horizonSteps(), 11);
+    ASSERT_EQ(narrowInstance.horizonSteps(), 3);
+    const DiscreteRun& run = wideInstance.runs()[0];
+    ASSERT_EQ(run.lengthSegments, 9);
+    ASSERT_EQ(run.speedSegments, 5);
+    ASSERT_EQ(wideInstance.segmentDistance(run.originSegment, run.destination().segment), 7);
+
+    for (const Instance* instance : {&wideInstance, &narrowInstance}) {
+        SCOPED_TRACE(std::to_string(instance->horizonSteps()) + " steps");
+        EXPECT_EQ(instance->earliestArrivalStep(0), 0);
+        EXPECT_EQ(instance->completionLowerBound(), 1);
+        const auto result = optimizeSchedule(*instance);
+        EXPECT_EQ(result.verdict, OptimizeVerdict::Feasible) << toString(result.verdict);
+        ASSERT_TRUE(result.feasible);
+        EXPECT_EQ(result.completionLowerBound, 1);
+        EXPECT_EQ(result.completionSteps, 1);
+        EXPECT_TRUE(validateSolution(*instance, *result.solution).empty());
+    }
 }
 
 }  // namespace

@@ -15,6 +15,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <exception>
 #include <fstream>
 #include <iostream>
 #include <map>
@@ -157,7 +158,7 @@ int main(int argc, char** argv) {
         std::cout << changed << " metric(s) changed, " << regressions
                   << " regression(s) beyond threshold " << formatNumber(threshold) << "\n";
         return regressions > 0 ? 1 : 0;
-    } catch (const etcs::Error& e) {
+    } catch (const std::exception& e) {
         std::cerr << "error: " << e.what() << "\n";
         return 2;
     }

@@ -15,6 +15,7 @@
 ///            1 = proven infeasible (report written),
 ///            2 = usage, input, or pipeline error.
 #include <cstring>
+#include <exception>
 #include <fstream>
 #include <iostream>
 #include <optional>
@@ -180,7 +181,7 @@ int main(int argc, char** argv) {
             return 2;
         }
         return 1;
-    } catch (const Error& e) {
+    } catch (const std::exception& e) {
         std::cerr << "error: " << e.what() << "\n";
         return 2;
     }

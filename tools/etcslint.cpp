@@ -68,7 +68,7 @@ void writeReachReport(std::ostream& os, bool json, const etcs::rail::SegmentGrap
            << ",\"runs\":[";
     }
     for (std::size_t run = 0; run < analysis.numRuns(); ++run) {
-        const etcs::lint::ReachRun& r = analysis.run(run);
+        const etcs::rail::DiscreteRun& r = analysis.run(run);
         const etcs::rail::TrainRun& scheduleRun =
             schedule.runs()[reach.scheduleRunIndex[run]];
         const std::string& train = trains.train(scheduleRun.train).name;
