@@ -1,7 +1,14 @@
 /// \file fig2_optimized_schedule.cpp
 /// Regenerates Fig. 2 of the paper: the improved VSS layout and schedule for
-/// the running example. Departures are kept, arrivals are released, and the
-/// solver minimizes completion time (then the number of sections).
+/// the running example. Departures are kept, arrivals are released, and
+/// each train's arrival is minimized in schedule order
+/// (core::optimizeIndividualArrivals), which is what Fig. 2b depicts: every
+/// train arrives no later than in Fig. 1b. Fig. 2a is the layout of that
+/// same solution, the one the Fig. 2b schedule runs on; the per-train
+/// objective does not minimize sections. (The completion objective of
+/// core::optimizeSchedule finishes as early overall but may delay a single
+/// train: train 3 arrives at 0:04 there against 0:03 in Fig. 1b.)
+#include <algorithm>
 #include <iomanip>
 #include <iostream>
 
@@ -19,19 +26,19 @@ int main() {
     const core::Instance open(study.network, study.trains, study.openSchedule,
                               study.resolution);
 
-    const auto optimized = core::optimizeSchedule(open);
+    const auto optimized = core::optimizeIndividualArrivals(open);
     if (!optimized.feasible) {
         std::cout << "optimization infeasible -- shape mismatch\n";
         return 1;
     }
     const auto& graph = open.graph();
+    const core::Solution& solution = *optimized.solution;
 
-    std::cout << "FIG. 2a: Improved VSS layout (" << optimized.sectionCount
-              << " TTD/VSS sections, "
-              << optimized.solution->layout.virtualBorderCount(graph)
-              << " virtual borders)\n";
+    std::cout << "FIG. 2a: Improved VSS layout (" << solution.sectionCount
+              << " TTD/VSS sections, " << solution.layout.virtualBorderCount(graph)
+              << " virtual borders; the layout Fig. 2b runs on, sections not minimized)\n";
     for (std::size_t n = 0; n < graph.numNodes(); ++n) {
-        if (!graph.node(SegNodeId(n)).fixedBorder && optimized.solution->layout.flags()[n]) {
+        if (!graph.node(SegNodeId(n)).fixedBorder && solution.layout.flags()[n]) {
             std::cout << "  virtual border between";
             for (SegmentId s : graph.segmentsAt(SegNodeId(n))) {
                 std::cout << " " << graph.segmentLabel(s);
@@ -49,7 +56,7 @@ int main() {
     for (std::size_t r = 0; r < open.numRuns(); ++r) {
         const auto& run = open.runs()[r];
         const auto& train = study.trains.train(run.train);
-        const int arrivalStep = optimized.solution->traces[r].firstArrivalStep;
+        const int arrivalStep = solution.traces[r].firstArrivalStep;
         const int originalStep = *timed.runs()[r].destination().arrivalStep;
         allImproved &= arrivalStep <= originalStep;
         std::cout << std::left << std::setw(8) << train.name << std::setw(7)
@@ -65,11 +72,15 @@ int main() {
                   << study.resolution.timeOf(originalStep).clock() << "\n";
     }
 
-    std::cout << "\ncompletion: " << optimized.completionSteps << " time steps vs "
+    // Every train has left by its done step, so the last one completes the
+    // schedule.
+    const int completionSteps =
+        *std::max_element(optimized.doneSteps.begin(), optimized.doneSteps.end());
+    std::cout << "\ncompletion: " << completionSteps << " time steps vs "
               << timed.horizonSteps() << " for the Fig. 1b schedule\n";
-    const auto violations = core::validateSolution(open, *optimized.solution);
-    const bool ok = allImproved && optimized.completionSteps < timed.horizonSteps() &&
-                    violations.empty();
+    const auto violations = core::validateSolution(open, solution);
+    const bool ok =
+        allImproved && completionSteps < timed.horizonSteps() && violations.empty();
     std::cout << (ok ? "shape check: OK (every train at least as early, fewer steps overall)"
                      : "shape check: MISMATCH")
               << "\n";

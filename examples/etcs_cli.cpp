@@ -6,13 +6,25 @@
 ///   etcs_cli generate <network.rail> <scenario.sched> --rs <m> --rt <s> [--dot out.dot]
 ///   etcs_cli optimize <network.rail> <scenario.sched> --rs <m> --rt <s> [--dot out.dot]
 ///   etcs_cli encode   <network.rail> <scenario.sched> --rs <m> --rt <s> --cnf out.cnf [--pure]
+///   etcs_cli explain  <network.rail> <scenario.sched> --rs <m> --rt <s>
+///                     [--pure] [--no-shrink] [--json] [--out <file>]
+///                     [--cnf <file>] [--proof <file>]
 ///
 /// `encode` exports the satisfiability instance in DIMACS CNF format
 /// (free-layout generation encoding; --pure pins the pure TTD layout as in
 /// the verification task) for use with any external SAT solver.
 ///
-/// Exit code: 0 = task solved (verification feasible / layout found),
-///            1 = proven infeasible, 2 = usage or input error.
+/// `explain` encodes the scenario with clause provenance, solves it with
+/// DRAT logging, certifies an UNSAT verdict with the independent proof
+/// checker, and maps the certified core back to trains, TTD sections and
+/// time steps (see docs/EXPLAIN.md). It prints only the report, as text or
+/// with --json as JSON, to stdout or the --out file. --cnf / --proof export
+/// the core's formula and proof so the certification can be replayed
+/// externally with dratcheck.
+///
+/// Exit code: 0 = task solved (verification feasible / layout found;
+///                explain: feasible, nothing to explain),
+///            1 = proven infeasible, 2 = usage, input or pipeline error.
 #include <cstring>
 #include <exception>
 #include <fstream>
@@ -27,6 +39,7 @@
 #include "core/tasks.hpp"
 #include "railway/dot.hpp"
 #include "railway/io.hpp"
+#include "sat/proof.hpp"
 #include "util/parse.hpp"
 
 using namespace etcs;
@@ -42,15 +55,19 @@ struct CliOptions {
     std::optional<std::string> dotFile;
     std::optional<std::string> cnfFile;
     bool pureLayout = false;
-    bool explain = false;
-    std::optional<std::string> explainJsonFile;
+    // explain only
+    bool shrink = true;
+    bool json = false;
+    std::optional<std::string> outFile;
+    std::optional<std::string> proofFile;
 };
 
 void usage() {
-    std::cerr << "usage: etcs_cli <verify|generate|optimize|encode> <network.rail> "
+    std::cerr << "usage: etcs_cli <verify|generate|optimize|encode|explain> <network.rail> "
                  "<scenario.sched> --rs <meters> --rt <seconds> [--dot <file>] "
-                 "[--cnf <file>] [--pure] [--explain] "
-                 "[--explain-json <file>]\n";
+                 "[--cnf <file>] [--pure]\n"
+                 "       explain only: [--no-shrink] [--json] [--out <file>] "
+                 "[--proof <file>]\n";
 }
 
 std::optional<CliOptions> parseArguments(int argc, char** argv) {
@@ -66,8 +83,12 @@ std::optional<CliOptions> parseArguments(int argc, char** argv) {
             options.pureLayout = true;
             continue;
         }
-        if (std::strcmp(argv[i], "--explain") == 0) {
-            options.explain = true;
+        if (std::strcmp(argv[i], "--no-shrink") == 0) {
+            options.shrink = false;
+            continue;
+        }
+        if (std::strcmp(argv[i], "--json") == 0) {
+            options.json = true;
             continue;
         }
         if (i + 1 >= argc) {
@@ -91,9 +112,10 @@ std::optional<CliOptions> parseArguments(int argc, char** argv) {
             options.dotFile = argv[i + 1];
         } else if (std::strcmp(argv[i], "--cnf") == 0) {
             options.cnfFile = argv[i + 1];
-        } else if (std::strcmp(argv[i], "--explain-json") == 0) {
-            options.explainJsonFile = argv[i + 1];
-            options.explain = true;
+        } else if (std::strcmp(argv[i], "--out") == 0) {
+            options.outFile = argv[i + 1];
+        } else if (std::strcmp(argv[i], "--proof") == 0) {
+            options.proofFile = argv[i + 1];
         } else {
             return std::nullopt;
         }
@@ -104,7 +126,13 @@ std::optional<CliOptions> parseArguments(int argc, char** argv) {
         return std::nullopt;
     }
     if (options.command != "verify" && options.command != "generate" &&
-        options.command != "optimize" && options.command != "encode") {
+        options.command != "optimize" && options.command != "encode" &&
+        options.command != "explain") {
+        return std::nullopt;
+    }
+    const bool explain = options.command == "explain";
+    if (explain ? options.dotFile.has_value()
+                : !options.shrink || options.json || options.outFile || options.proofFile) {
         return std::nullopt;
     }
     if (options.command == "encode" && !options.cnfFile) {
@@ -114,25 +142,55 @@ std::optional<CliOptions> parseArguments(int argc, char** argv) {
     return options;
 }
 
-/// On an infeasible verdict with --explain: run the certified-core
-/// explanation pipeline (see docs/EXPLAIN.md) and print the report; with
-/// --explain-json also export the machine-readable report.
-void maybeExplain(const CliOptions& options, const core::Instance& instance,
-                  const core::VssLayout* fixedLayout) {
-    if (!options.explain) {
-        return;
+/// The certified-core explanation pipeline (docs/EXPLAIN.md): write the
+/// exported formula and proof, then the report; 0 feasible, 1 proven
+/// infeasible, 2 when a file cannot be written or the pipeline failed.
+int explain(const CliOptions& options, const core::Instance& instance) {
+    core::ExplainOptions explainOptions;
+    explainOptions.shrinkCore = options.shrink;
+    const core::VssLayout pure(instance.graph());
+    const core::ExplainResult result = core::explainInfeasibility(
+        instance, options.pureLayout ? &pure : nullptr, explainOptions);
+
+    if (options.cnfFile && !sat::writeDimacsFile(*options.cnfFile, result.formula)) {
+        std::cerr << "error: cannot write " << *options.cnfFile << "\n";
+        return 2;
     }
-    const core::ExplainResult result = core::explainInfeasibility(instance, fixedLayout);
-    core::writeExplanationText(std::cout, result);
-    if (options.explainJsonFile) {
-        std::ofstream out(*options.explainJsonFile);
-        if (out) {
-            core::writeExplanationJson(out, result);
-            std::cout << "explanation JSON written to " << *options.explainJsonFile << "\n";
-        } else {
-            std::cerr << "error: cannot write " << *options.explainJsonFile << "\n";
+    if (options.proofFile) {
+        std::ofstream out(*options.proofFile);
+        if (!out) {
+            std::cerr << "error: cannot write " << *options.proofFile << "\n";
+            return 2;
         }
+        sat::TextDratWriter writer(out);
+        sat::writeDrat(writer, result.proof);
+        writer.flush();
     }
+
+    std::ostream* os = &std::cout;
+    std::ofstream file;
+    if (options.outFile) {
+        file.open(*options.outFile);
+        if (!file) {
+            std::cerr << "error: cannot write " << *options.outFile << "\n";
+            return 2;
+        }
+        os = &file;
+    }
+    if (options.json) {
+        core::writeExplanationJson(*os, result);
+    } else {
+        core::writeExplanationText(*os, result);
+    }
+
+    if (result.feasible) {
+        return 0;
+    }
+    if (!result.error.empty()) {
+        std::cerr << "error: " << result.error << "\n";
+        return 2;
+    }
+    return 1;
 }
 
 void maybeWriteDot(const CliOptions& options, const rail::SegmentGraph& graph,
@@ -170,6 +228,9 @@ int main(int argc, char** argv) {
 
         const Resolution resolution{options->spatial, options->temporal};
         const core::Instance instance(network, scenario.trains, scenario.schedule, resolution);
+        if (options->command == "explain") {
+            return explain(*options, instance);
+        }
         std::cout << "network '" << network.name() << "': "
                   << instance.graph().numSegments() << " segments, "
                   << instance.horizonSteps() << " time steps, " << instance.numRuns()
@@ -198,16 +259,12 @@ int main(int argc, char** argv) {
                       << (result.feasible ? "FEASIBLE" : "INFEASIBLE") << " ["
                       << result.stats.numVariables << " vars, "
                       << result.stats.runtimeSeconds << " s]\n";
-            if (!result.feasible) {
-                maybeExplain(*options, instance, &pure);
-            }
             return result.feasible ? 0 : 1;
         }
         if (options->command == "generate") {
             const auto result = core::generateLayout(instance);
             if (!result.feasible) {
                 std::cout << "no VSS layout can realize this schedule\n";
-                maybeExplain(*options, instance, nullptr);
                 return 1;
             }
             std::cout << "layout found: " << result.sectionCount << " TTD/VSS sections ("
@@ -229,7 +286,6 @@ int main(int argc, char** argv) {
         }
         if (!result.feasible) {
             std::cout << "the trains cannot complete within the scenario horizon\n";
-            maybeExplain(*options, instance, nullptr);
             return 1;
         }
         std::cout << "optimal completion: " << result.completionSteps << " time steps ("

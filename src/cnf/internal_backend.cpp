@@ -22,10 +22,12 @@ public:
     }
 
     SolveStatus solve(std::span<const Literal> assumptions) override {
-        const obs::Span span("sat.solve");
         const sat::SolverStats before = solver_.stats();
         const auto start = std::chrono::steady_clock::now();
-        const SolveStatus status = solver_.solve(assumptions);
+        const SolveStatus status = [&] {
+            const obs::Span span("sat.solve");
+            return solver_.solve(assumptions);
+        }();
         const double seconds =
             std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
         recordSolveMetrics(before, seconds, status);
@@ -70,17 +72,16 @@ private:
             obs::Tracer::counterValue("sat.conflicts", static_cast<double>(after.conflicts));
             obs::Tracer::counterValue("sat.learnt_db",
                                       static_cast<double>(solver_.numLearnedClauses()));
-        }
-        if (obs::logEnabled(obs::LogLevel::Debug)) {
-            std::string fields = ",\"status\":\"";
-            fields += status == SolveStatus::Sat     ? "sat"
-                      : status == SolveStatus::Unsat ? "unsat"
-                                                     : "unknown";
-            fields += "\",\"seconds\":" + std::to_string(seconds);
-            fields += ",\"conflicts\":" + std::to_string(after.conflicts - before.conflicts);
-            fields +=
-                ",\"propagations\":" + std::to_string(after.propagations - before.propagations);
-            obs::log(obs::LogLevel::Debug, "sat", "solve finished", fields);
+            // This solve's outcome and work, right after its sat.solve span.
+            std::string args = "{\"status\":\"";
+            args += status == SolveStatus::Sat     ? "sat"
+                    : status == SolveStatus::Unsat ? "unsat"
+                                                   : "unknown";
+            args += "\",\"seconds\":" + std::to_string(seconds);
+            args += ",\"conflicts\":" + std::to_string(after.conflicts - before.conflicts);
+            args += ",\"propagations\":" +
+                    std::to_string(after.propagations - before.propagations) + "}";
+            obs::Tracer::instant("sat.solve.done", args);
         }
     }
 

@@ -186,14 +186,9 @@ void Encoder::encode(const VssLayout* fixedLayout) {
     }
     if (obs::tracingEnabled()) {
         std::string args = "{\"variables\":" + std::to_string(backend_->numVariables()) +
-                           ",\"clauses\":" + std::to_string(backend_->numClauses()) + "}";
+                           ",\"clauses\":" + std::to_string(backend_->numClauses()) +
+                           ",\"horizon\":" + std::to_string(instance_->horizonSteps()) + "}";
         obs::Tracer::instant("encode.done", args);
-    }
-    if (obs::logEnabled(obs::LogLevel::Info)) {
-        obs::log(obs::LogLevel::Info, "encoder", "encoding finished",
-                 ",\"variables\":" + std::to_string(backend_->numVariables()) +
-                     ",\"clauses\":" + std::to_string(backend_->numClauses()) +
-                     ",\"horizon\":" + std::to_string(instance_->horizonSteps()));
     }
 }
 

@@ -87,7 +87,7 @@ struct ExplainResult {
     std::vector<ClauseProvenance> coreRecords;
 
     /// The encoded formula and the recorded proof, kept so callers can
-    /// re-certify externally (tools/etcs_explain --cnf-out/--proof-out).
+    /// re-certify externally (`etcs_cli explain --cnf/--proof`).
     sat::CnfFormula formula;
     sat::DratProof proof;
 };

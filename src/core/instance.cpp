@@ -1,6 +1,8 @@
 #include "core/instance.hpp"
 
 #include <algorithm>
+#include <new>
+#include <string>
 
 namespace etcs::core {
 
@@ -46,9 +48,14 @@ Instance::Instance(const Network& network, const TrainSet& trains, const Schedul
 
     // All-pairs hop distances, one BFS row per segment (graphs here are
     // small; the encoder queries distances heavily for its reachability
-    // cones).
+    // cones). A fine r_s on a long line makes the table too large to hold.
     const std::size_t n = graph_->numSegments();
-    distance_.resize(n * n);
+    try {
+        distance_.resize(n * n);
+    } catch (const std::bad_alloc&) {
+        throw InputError("the distance table of " + std::to_string(n) +
+                         " segments does not fit in memory; coarsen r_s");
+    }
     for (std::size_t s = 0; s < n; ++s) {
         graph_->distancesFrom(SegmentId(s), std::span(distance_).subspan(s * n, n));
     }

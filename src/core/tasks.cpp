@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdio>
 #include <numeric>
 #include <optional>
 #include <string>
@@ -69,10 +70,10 @@ Gate runGate(const Instance& instance, const TaskOptions& options, const char* t
         obs::Registry::global()
             .counter(std::string("etcs.task.") + task + ".lint_rejected")
             .increment();
-        if (obs::logEnabled(obs::LogLevel::Info)) {
-            obs::log(obs::LogLevel::Info, "task", task,
-                     ",\"lint_rejected\":true,\"errors\":" +
-                         std::to_string(report.count(lint::Severity::Error)));
+        if (obs::tracingEnabled()) {
+            obs::Tracer::instant("gate.rejected",
+                                 "{\"gate\":\"lint\",\"errors\":" +
+                                     std::to_string(report.count(lint::Severity::Error)) + "}");
         }
         gate.rejected = true;
         return gate;
@@ -88,10 +89,11 @@ Gate runGate(const Instance& instance, const TaskOptions& options, const char* t
         obs::Registry::global()
             .counter(std::string("etcs.task.") + task + ".reach_rejected")
             .increment();
-        if (obs::logEnabled(obs::LogLevel::Info)) {
-            obs::log(obs::LogLevel::Info, "task", task,
-                     ",\"reach_rejected\":true,\"violations\":" +
-                         std::to_string(gate.reach->analysis().violations().size()));
+        if (obs::tracingEnabled()) {
+            obs::Tracer::instant(
+                "gate.rejected",
+                "{\"gate\":\"reach\",\"violations\":" +
+                    std::to_string(gate.reach->analysis().violations().size()) + "}");
         }
         gate.rejected = true;
     }
@@ -127,34 +129,51 @@ void finishStats(TaskStats& stats, const cnf::SatBackend& backend, const char* t
     registry.counter(std::string("etcs.task.") + task + ".runs").increment();
     registry.histogram(std::string("etcs.task.") + task + ".seconds")
         .observe(stats.runtimeSeconds);
-    if (obs::logEnabled(obs::LogLevel::Info)) {
-        obs::log(obs::LogLevel::Info, "task", task,
-                 ",\"variables\":" + std::to_string(stats.numVariables) +
-                     ",\"clauses\":" + std::to_string(stats.numClauses) +
-                     ",\"solve_calls\":" + std::to_string(stats.solveCalls) +
-                     ",\"conflicts\":" + std::to_string(stats.conflicts) +
-                     ",\"seconds\":" + std::to_string(stats.runtimeSeconds));
+}
+
+/// When tracing, one `task.done` instant whose args are the task's final
+/// TaskStats. Seconds get 17 significant digits, so they read back exactly.
+void traceTaskDone(const char* task, const TaskStats& stats) {
+    if (!obs::tracingEnabled()) {
+        return;
     }
+    char seconds[32];
+    std::snprintf(seconds, sizeof(seconds), "%.17g", stats.runtimeSeconds);
+    obs::Tracer::instant(
+        "task.done",
+        std::string("{\"task\":\"") + task +
+            "\",\"variables\":" + std::to_string(stats.numVariables) +
+            ",\"clauses\":" + std::to_string(stats.numClauses) +
+            ",\"solve_calls\":" + std::to_string(stats.solveCalls) +
+            ",\"conflicts\":" + std::to_string(stats.conflicts) +
+            ",\"propagations\":" + std::to_string(stats.propagations) +
+            ",\"decisions\":" + std::to_string(stats.decisions) +
+            ",\"restarts\":" + std::to_string(stats.restarts) +
+            ",\"max_decision_level\":" + std::to_string(stats.maxDecisionLevel) +
+            ",\"peak_learnts\":" + std::to_string(stats.peakLearnts) +
+            ",\"seconds\":" + seconds + "}");
 }
 
 /// The pipeline of every task: the lint/reach gate, one backend with its
 /// Encoder, then `body` — encode and the task's objective, returning whether
-/// the task has a solution — and finally decode and finishStats.
+/// the task has a solution — and finally decode, finishStats and the
+/// `task.done` trace instant.
 template <typename Body>
 std::optional<Solution> runTask(const Instance& instance, const TaskOptions& options,
                                 const char* task, TaskStats& stats, Body&& body) {
     const auto start = Clock::now();
+    std::optional<Solution> solution;
     Gate gate = runGate(instance, options, task);
     if (gate.rejected) {
         stats.runtimeSeconds = secondsSince(start);
-        return std::nullopt;
+    } else {
+        Session session(instance, options, std::move(gate.reach));
+        if (body(session)) {
+            solution = session.encoder.decode();
+        }
+        finishStats(stats, *session.backend, task, start);
     }
-    Session session(instance, options, std::move(gate.reach));
-    std::optional<Solution> solution;
-    if (body(session)) {
-        solution = session.encoder.decode();
-    }
-    finishStats(stats, *session.backend, task, start);
+    traceTaskDone(task, stats);
     return solution;
 }
 

@@ -3,6 +3,7 @@
 #include <array>
 
 #include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 
 namespace etcs::lint {
 
@@ -54,18 +55,6 @@ constexpr std::array<CodeInfo, 37> kCodes{{
     {"E104", Severity::Error, "pass-through exclusivity conflict in the core"},
     {"E105", Severity::Info, "movement or occupancy envelope cited by the core"},
 }};
-
-void writeJsonEscaped(std::ostream& os, std::string_view text) {
-    for (const char c : text) {
-        switch (c) {
-            case '"': os << "\\\""; break;
-            case '\\': os << "\\\\"; break;
-            case '\n': os << "\\n"; break;
-            case '\t': os << "\\t"; break;
-            default: os << c; break;
-        }
-    }
-}
 
 }  // namespace
 
@@ -147,13 +136,9 @@ void LintReport::writeJson(std::ostream& os) const {
         }
         first = false;
         os << "{\"code\":\"" << d.code << "\",\"severity\":\"" << severityName(d.severity)
-           << "\",\"entity\":\"";
-        writeJsonEscaped(os, d.entity);
-        os << "\",\"message\":\"";
-        writeJsonEscaped(os, d.message);
-        os << "\",\"hint\":\"";
-        writeJsonEscaped(os, d.hint);
-        os << "\",\"line\":" << d.line << '}';
+           << "\",\"entity\":\"" << obs::jsonEscape(d.entity) << "\",\"message\":\""
+           << obs::jsonEscape(d.message) << "\",\"hint\":\"" << obs::jsonEscape(d.hint)
+           << "\",\"line\":" << d.line << '}';
     }
     os << "]}";
 }

@@ -1,6 +1,5 @@
 #include "obs/trace.hpp"
 
-#include <cctype>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -11,7 +10,6 @@ namespace etcs::obs {
 
 namespace detail {
 std::atomic<bool> traceActive{false};
-std::atomic<int> logThreshold{static_cast<int>(LogLevel::Off)};
 }  // namespace detail
 
 namespace {
@@ -25,33 +23,23 @@ int threadId() {
     return id;
 }
 
-/// All mutable sink state, guarded by `mutex`. A single namespace-scope
+/// All mutable trace state, guarded by `mutex`. A single namespace-scope
 /// instance reads the environment on construction and finalizes the trace
 /// file on destruction, so `ETCS_TRACE=out.json some_binary` needs no
 /// programmatic setup.
-struct Sinks {
+struct Sink {
     std::mutex mutex;
     std::ofstream traceFile;
     bool firstEvent = true;
     Clock::time_point epoch = Clock::now();
-    std::ofstream logFile;
-    bool logToFile = false;
 
-    Sinks() {
+    Sink() {
         if (const char* path = std::getenv("ETCS_TRACE"); path != nullptr && *path != '\0') {
             startLocked(path);
         }
-        if (const char* level = std::getenv("ETCS_LOG_LEVEL"); level != nullptr) {
-            detail::logThreshold.store(static_cast<int>(parseLogLevel(level)),
-                                       std::memory_order_relaxed);
-        }
-        if (const char* path = std::getenv("ETCS_LOG"); path != nullptr && *path != '\0') {
-            logFile.open(path);
-            logToFile = logFile.is_open();
-        }
     }
 
-    ~Sinks() { stopLocked(); }
+    ~Sink() { stopLocked(); }
 
     bool startLocked(const std::string& path) {
         stopLocked();
@@ -104,60 +92,26 @@ struct Sinks {
         if (traceFile.is_open()) {
             traceFile.flush();
         }
-        if (logToFile && logFile.is_open()) {
-            logFile.flush();
-        }
     }
 };
 
-Sinks& sinks() {
-    static Sinks instance;
+Sink& sink() {
+    static Sink instance;
     return instance;
 }
 
-// Force the sinks (and thus ETCS_TRACE handling) to life at process start,
+// Force the sink (and thus ETCS_TRACE handling) to life at process start,
 // not at first instrumented call. The atexit handler is registered AFTER the
-// Sinks instance is constructed, so it runs BEFORE the static destructor:
+// Sink instance is constructed, so it runs BEFORE the static destructor:
 // std::exit() paths finalize the trace (closing "]") while the object is
 // still alive, and the destructor's stopLocked() then sees a closed file.
-[[maybe_unused]] const bool kSinksInitialized = [] {
-    sinks();
+[[maybe_unused]] const bool kSinkInitialized = [] {
+    sink();
     std::atexit([] { Tracer::stop(); });
     return true;
 }();
 
-double wallSeconds() {
-    return std::chrono::duration<double>(
-               std::chrono::system_clock::now().time_since_epoch())
-        .count();
-}
-
 }  // namespace
-
-std::string_view toString(LogLevel level) {
-    switch (level) {
-        case LogLevel::Trace: return "trace";
-        case LogLevel::Debug: return "debug";
-        case LogLevel::Info: return "info";
-        case LogLevel::Warn: return "warn";
-        case LogLevel::Error: return "error";
-        default: return "off";
-    }
-}
-
-LogLevel parseLogLevel(std::string_view text) {
-    std::string lower;
-    lower.reserve(text.size());
-    for (char c : text) {
-        lower.push_back(static_cast<char>(std::tolower(static_cast<unsigned char>(c))));
-    }
-    if (lower == "trace") return LogLevel::Trace;
-    if (lower == "debug") return LogLevel::Debug;
-    if (lower == "info") return LogLevel::Info;
-    if (lower == "warn" || lower == "warning") return LogLevel::Warn;
-    if (lower == "error") return LogLevel::Error;
-    return LogLevel::Off;
-}
 
 std::string jsonEscape(std::string_view text) {
     std::string out;
@@ -183,19 +137,19 @@ std::string jsonEscape(std::string_view text) {
 }
 
 bool Tracer::start(const std::string& path) {
-    Sinks& s = sinks();
+    Sink& s = sink();
     const std::scoped_lock lock(s.mutex);
     return s.startLocked(path);
 }
 
 void Tracer::stop() {
-    Sinks& s = sinks();
+    Sink& s = sink();
     const std::scoped_lock lock(s.mutex);
     s.stopLocked();
 }
 
 void Tracer::flush() {
-    Sinks& s = sinks();
+    Sink& s = sink();
     const std::scoped_lock lock(s.mutex);
     s.flushLocked();
 }
@@ -209,14 +163,14 @@ void Tracer::begin(const char* name, std::string_view args) {
         body = ",\"args\":";
         body += args;
     }
-    sinks().event(name, 'B', body);
+    sink().event(name, 'B', body);
 }
 
 void Tracer::end(const char* name) {
     if (!tracingEnabled()) {
         return;
     }
-    sinks().event(name, 'E', {});
+    sink().event(name, 'E', {});
 }
 
 void Tracer::instant(const char* name, std::string_view args) {
@@ -228,7 +182,7 @@ void Tracer::instant(const char* name, std::string_view args) {
         body = ",\"args\":";
         body += args;
     }
-    sinks().event(name, 'i', body);
+    sink().event(name, 'i', body);
 }
 
 void Tracer::counterValue(const char* name, double value) {
@@ -238,53 +192,7 @@ void Tracer::counterValue(const char* name, double value) {
     std::string body = ",\"args\":{\"value\":";
     body += std::to_string(value);
     body += "}";
-    sinks().event(name, 'C', body);
-}
-
-void Tracer::setLogLevel(LogLevel level) {
-    detail::logThreshold.store(static_cast<int>(level), std::memory_order_relaxed);
-}
-
-bool Tracer::setLogFile(const std::string& path) {
-    Sinks& s = sinks();
-    const std::scoped_lock lock(s.mutex);
-    if (s.logFile.is_open()) {
-        s.logFile.close();
-    }
-    s.logToFile = false;
-    if (path.empty()) {
-        return true;
-    }
-    s.logFile.open(path);
-    s.logToFile = s.logFile.is_open();
-    return s.logToFile;
-}
-
-void log(LogLevel level, const char* component, std::string_view message,
-         std::string_view fields) {
-    if (!logEnabled(level)) {
-        return;
-    }
-    std::string line = "{\"ts\":";
-    line += std::to_string(wallSeconds());
-    line += ",\"level\":\"";
-    line += toString(level);
-    line += "\",\"component\":\"";
-    line += jsonEscape(component);
-    line += "\",\"message\":\"";
-    line += jsonEscape(message);
-    line += "\"";
-    line += fields;
-    line += "}\n";
-
-    Sinks& s = sinks();
-    const std::scoped_lock lock(s.mutex);
-    if (s.logToFile) {
-        s.logFile << line;
-        s.logFile.flush();
-    } else {
-        std::fputs(line.c_str(), stderr);
-    }
+    sink().event(name, 'C', body);
 }
 
 }  // namespace etcs::obs

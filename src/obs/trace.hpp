@@ -1,17 +1,12 @@
 /// \file trace.hpp
-/// Span tracing and structured logging for the whole pipeline.
+/// Span tracing for the whole pipeline.
 ///
-/// Two sinks, both optional and both near-zero cost when off:
-///
-///  * **Chrome trace** — a JSON array of `trace_event` records loadable in
-///    Perfetto (https://ui.perfetto.dev) or chrome://tracing. Enabled by the
-///    `ETCS_TRACE=<file>` environment variable or programmatically via
-///    `Tracer::start(path)`. RAII `Span` objects emit balanced "B"/"E"
-///    events; `instant()` and `counterValue()` emit point events.
-///
-///  * **JSONL log** — one JSON object per line, filtered by severity.
-///    Enabled by `ETCS_LOG_LEVEL=<trace|debug|info|warn|error>`; written to
-///    stderr unless `ETCS_LOG=<file>` names a file.
+/// One optional sink, the **Chrome trace**: a JSON array of `trace_event`
+/// records loadable in Perfetto (https://ui.perfetto.dev) or
+/// chrome://tracing. Enabled by the `ETCS_TRACE=<file>` environment variable
+/// or programmatically via `Tracer::start(path)`. RAII `Span` objects emit
+/// balanced "B"/"E" events; `instant()` and `counterValue()` emit point
+/// events, whose args carry the run's summary values (e.g. `task.done`).
 ///
 /// The disabled fast path is a single relaxed atomic load per call site, so
 /// instrumentation can stay compiled in everywhere (the <2% overhead budget
@@ -24,16 +19,9 @@
 
 namespace etcs::obs {
 
-enum class LogLevel : int { Trace = 0, Debug = 1, Info = 2, Warn = 3, Error = 4, Off = 5 };
-
-[[nodiscard]] std::string_view toString(LogLevel level);
-/// Parse "debug", "INFO", ... (case-insensitive); Off for unknown strings.
-[[nodiscard]] LogLevel parseLogLevel(std::string_view text);
-
 namespace detail {
-// Hot-path flags; defined in trace.cpp and mutated only under its mutex.
+// Hot-path flag; defined in trace.cpp and mutated only under its mutex.
 extern std::atomic<bool> traceActive;
-extern std::atomic<int> logThreshold;
 }  // namespace detail
 
 /// True iff a Chrome trace file is currently open.
@@ -41,14 +29,8 @@ extern std::atomic<int> logThreshold;
     return detail::traceActive.load(std::memory_order_relaxed);
 }
 
-/// True iff a JSONL log record at `level` would be written.
-[[nodiscard]] inline bool logEnabled(LogLevel level) noexcept {
-    return static_cast<int>(level) >= detail::logThreshold.load(std::memory_order_relaxed);
-}
-
-/// Static facade over the process-wide trace/log sinks. The environment
-/// (ETCS_TRACE / ETCS_LOG_LEVEL / ETCS_LOG) is read once at process start;
-/// start()/stop()/setLogLevel() override it programmatically.
+/// Static facade over the process-wide trace sink. `ETCS_TRACE` is read
+/// once at process start; start()/stop() override it programmatically.
 class Tracer {
 public:
     /// Open `path` and begin writing a Chrome trace array. Replaces any
@@ -62,7 +44,7 @@ public:
     /// termination; events are additionally flushed as they are written.
     static void stop();
 
-    /// Push buffered trace/log output to disk without finalizing anything.
+    /// Push buffered trace output to disk without finalizing anything.
     static void flush();
 
     /// Emit a begin/end duration event. Use the Span RAII wrapper instead of
@@ -76,19 +58,7 @@ public:
 
     /// Emit a counter track sample (rendered as a graph in Perfetto).
     static void counterValue(const char* name, double value);
-
-    /// Severity threshold of the JSONL log sink.
-    static void setLogLevel(LogLevel level);
-
-    /// Redirect the JSONL log to `path` (empty: back to stderr).
-    static bool setLogFile(const std::string& path);
 };
-
-/// Write one JSONL log record: {"ts":..,"level":..,"component":..,
-/// "message":..}. `fields` is either empty or a fragment of extra JSON
-/// members starting with a comma, e.g. R"(,"bound":3)".
-void log(LogLevel level, const char* component, std::string_view message,
-         std::string_view fields = {});
 
 /// RAII scoped timer: emits a balanced begin/end event pair around its
 /// lifetime. Constructing one while tracing is off costs a single atomic
@@ -113,8 +83,8 @@ private:
     const char* name_ = nullptr;
 };
 
-/// Minimal JSON string escaping for values interpolated into trace/log
-/// records (quotes, backslashes, control characters).
+/// JSON string escaping for values interpolated into JSON output (quotes,
+/// backslashes, every control character).
 [[nodiscard]] std::string jsonEscape(std::string_view text);
 
 }  // namespace etcs::obs

@@ -23,11 +23,6 @@ void recordBoundProbe(const char* event, int bound, bool sat) {
         obs::Tracer::instant(event, "{\"bound\":" + std::to_string(bound) +
                                         ",\"sat\":" + (sat ? "true" : "false") + "}");
     }
-    if (obs::logEnabled(obs::LogLevel::Debug)) {
-        obs::log(obs::LogLevel::Debug, "opt", event,
-                 ",\"bound\":" + std::to_string(bound) +
-                     ",\"sat\":" + (sat ? "true" : "false"));
-    }
 }
 
 void recordIncumbent(int incumbent) {
@@ -51,21 +46,19 @@ int weightedCount(const SatBackend& backend, std::span<const Literal> lits,
 /// Shared search core: minimize the weighted count of true soft literals.
 /// `weights` may be empty (all ones).
 MinimizeResult minimizeImpl(SatBackend& backend, std::span<const Literal> soft,
-                            std::span<const int> weights, SearchStrategy strategy,
-                            std::span<const Literal> alwaysAssume) {
+                            std::span<const int> weights, SearchStrategy strategy) {
     const obs::Span span("opt.minimize");
     MinimizeResult result;
-    std::vector<Literal> assumptions(alwaysAssume.begin(), alwaysAssume.end());
 
     if (soft.empty()) {
         ++result.solveCalls;
-        result.feasible = backend.solve(assumptions) == SolveStatus::Sat;
+        result.feasible = backend.solve() == SolveStatus::Sat;
         return result;
     }
 
     // First solve establishes feasibility and the initial incumbent.
     ++result.solveCalls;
-    if (backend.solve(assumptions) != SolveStatus::Sat) {
+    if (backend.solve() != SolveStatus::Sat) {
         return result;
     }
     result.feasible = true;
@@ -92,9 +85,8 @@ MinimizeResult minimizeImpl(SatBackend& backend, std::span<const Literal> soft,
     bool cancelled = false;
     auto solveAtMost = [&](int k) {
         ++result.solveCalls;
-        assumptions.resize(alwaysAssume.size());
-        assumptions.push_back(totalizer.atMostAssumption(static_cast<std::size_t>(k)));
-        const SolveStatus status = backend.solve(assumptions);
+        const Literal atMost[] = {totalizer.atMostAssumption(static_cast<std::size_t>(k))};
+        const SolveStatus status = backend.solve(atMost);
         const bool sat = status == SolveStatus::Sat;
         cancelled = status == SolveStatus::Unknown;
         recordBoundProbe("opt.tighten_bound", k, sat);
@@ -155,21 +147,19 @@ std::string_view toString(SearchStrategy strategy) {
 }
 
 MinimizeResult minimizeTrueLiterals(SatBackend& backend, std::span<const Literal> soft,
-                                    SearchStrategy strategy,
-                                    std::span<const Literal> alwaysAssume) {
-    return minimizeImpl(backend, soft, {}, strategy, alwaysAssume);
+                                    SearchStrategy strategy) {
+    return minimizeImpl(backend, soft, {}, strategy);
 }
 
 MinimizeResult minimizeWeightedTrueLiterals(SatBackend& backend,
                                             std::span<const Literal> soft,
                                             std::span<const int> weights,
-                                            SearchStrategy strategy,
-                                            std::span<const Literal> alwaysAssume) {
+                                            SearchStrategy strategy) {
     ETCS_REQUIRE_MSG(weights.size() == soft.size(),
                      "one weight per soft literal required");
     ETCS_REQUIRE_MSG(std::all_of(weights.begin(), weights.end(), [](int w) { return w > 0; }),
                      "weights must be positive");
-    return minimizeImpl(backend, soft, weights, strategy, alwaysAssume);
+    return minimizeImpl(backend, soft, weights, strategy);
 }
 
 IndexSearchResult smallestFeasibleIndex(SatBackend& backend,

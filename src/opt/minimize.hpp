@@ -49,11 +49,8 @@ struct MinimizeResult {
 /// Minimize the number of true literals among `soft` subject to the clauses
 /// already in `backend`.  Builds one totalizer over `soft` and then tightens
 /// the bound with assumption literals only, so the backend stays reusable.
-/// `alwaysAssume` (optional) literals are assumed on every solve, which lets
-/// callers scope the minimization (e.g. "given completion by step T").
 MinimizeResult minimizeTrueLiterals(SatBackend& backend, std::span<const Literal> soft,
-                                    SearchStrategy strategy = SearchStrategy::LinearDown,
-                                    std::span<const Literal> alwaysAssume = {});
+                                    SearchStrategy strategy = SearchStrategy::LinearDown);
 
 /// Weighted variant: minimize sum(weight_i * soft_i). Weights must be
 /// positive; a literal of weight w contributes w duplicated totalizer inputs,
@@ -61,8 +58,7 @@ MinimizeResult minimizeTrueLiterals(SatBackend& backend, std::span<const Literal
 MinimizeResult minimizeWeightedTrueLiterals(SatBackend& backend,
                                             std::span<const Literal> soft,
                                             std::span<const int> weights,
-                                            SearchStrategy strategy = SearchStrategy::LinearDown,
-                                            std::span<const Literal> alwaysAssume = {});
+                                            SearchStrategy strategy = SearchStrategy::LinearDown);
 
 /// Outcome of a monotone feasibility search.
 struct IndexSearchResult {

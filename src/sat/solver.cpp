@@ -671,7 +671,7 @@ SolveStatus Solver::search(std::int64_t conflictBudget) {
         if (static_cast<double>(learnts_.size()) - static_cast<double>(trail_.size()) >=
             maxLearnts_) {
             reduceLearnedDb();
-            maxLearnts_ *= options_.learntSizeIncrement;
+            maxLearnts_ *= kLearntSizeIncrement;
             if (arena_.wastedWords() * 3 > arena_.totalWords()) {
                 compactClauseDatabase();
             }

@@ -200,6 +200,8 @@ private:
     static constexpr double kVariableDecay = 0.95;  ///< EVSIDS decay per conflict
     static constexpr double kClauseDecay = 0.999;   ///< learned-clause activity decay
     static constexpr int kRestartBase = 100;        ///< conflicts per Luby unit
+    static constexpr double kLearntSizeIncrement = 1.1;  ///< learnt-DB limit growth
+                                                         ///< per reduction
 
     SolverOptions options_;
     SolverStats stats_;

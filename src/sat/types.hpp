@@ -114,15 +114,15 @@ struct SolverProgress {
 /// its state valid for further addClause()/solve() calls.
 using ProgressCallback = std::function<bool(const SolverProgress&)>;
 
-/// Tunable solver behaviour: resource limits, the learnt-DB schedule and
-/// the progress hook. The search heuristics themselves (EVSIDS decay 0.95,
-/// Luby restarts of 100 conflicts a unit, phase saving, a fresh variable
-/// decided true first) are fixed in Solver.
+/// Tunable solver behaviour: resource limits, the initial learnt-DB limit
+/// and the progress hook. The search heuristics themselves (EVSIDS decay
+/// 0.95, Luby restarts of 100 conflicts a unit, phase saving, a fresh
+/// variable decided true first) and the learnt-DB growth of 1.1 per
+/// reduction are fixed in Solver.
 struct SolverOptions {
     double learntSizeFactor = 0.33;    ///< initial learnt DB limit / #clauses.
     double learntSizeFloor = 1000.0;   ///< minimum learnt DB limit (tests lower
                                        ///< it to force reductions on small inputs).
-    double learntSizeIncrement = 1.1;  ///< DB limit growth per reduction.
     std::int64_t conflictLimit = -1;   ///< stop after this many conflicts (<0: off).
     std::uint64_t progressInterval = 16384;  ///< conflicts between onProgress calls.
     ProgressCallback onProgress;       ///< progress/cancellation hook (may be empty).

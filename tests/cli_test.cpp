@@ -1,11 +1,11 @@
 /// \file cli_test.cpp
 /// End-to-end exit-code and output contracts of the shipped command-line
-/// tools: etcslint, gencnf, dratcheck, etcs_explain, benchdiff, etcsgen,
-/// etcs_cli (the latter two over the frozen generated corpus in
-/// tests/fixtures/gen/, see docs/GENERATOR.md) and sat_solve. Exit code conventions:
-/// 0 success (for etcslint: no error-severity findings; for etcs_explain:
-/// feasible), 1 findings / NOT VERIFIED / infeasible / regressions, 2 usage
-/// or I/O error — and never partial output on failure.
+/// tools: etcslint, dratcheck, benchdiff, etcsgen, etcs_cli (the latter two
+/// also over the frozen generated corpus in tests/fixtures/gen/, see
+/// docs/GENERATOR.md) and sat_solve. Exit code conventions: 0 success (for
+/// etcslint: no error-severity findings; for `etcs_cli explain`: feasible),
+/// 1 findings / NOT VERIFIED / infeasible / regressions, 2 usage or I/O
+/// error — and never partial output on failure.
 #include <gtest/gtest.h>
 
 #include <sys/wait.h>
@@ -22,14 +22,8 @@
 #ifndef ETCS_ETCSLINT_BIN
 #error "ETCS_ETCSLINT_BIN must point at the etcslint executable"
 #endif
-#ifndef ETCS_GENCNF_BIN
-#error "ETCS_GENCNF_BIN must point at the gencnf executable"
-#endif
 #ifndef ETCS_DRATCHECK_BIN
 #error "ETCS_DRATCHECK_BIN must point at the dratcheck executable"
-#endif
-#ifndef ETCS_EXPLAIN_BIN
-#error "ETCS_EXPLAIN_BIN must point at the etcs_explain executable"
 #endif
 #ifndef ETCS_BENCHDIFF_BIN
 #error "ETCS_BENCHDIFF_BIN must point at the benchdiff executable"
@@ -76,12 +70,11 @@ RunResult run(const std::string& command) {
 }
 
 const std::string kLint = ETCS_ETCSLINT_BIN;
-const std::string kGencnf = ETCS_GENCNF_BIN;
 const std::string kDratcheck = ETCS_DRATCHECK_BIN;
-const std::string kExplain = ETCS_EXPLAIN_BIN;
 const std::string kBenchdiff = ETCS_BENCHDIFF_BIN;
 const std::string kEtcsgen = ETCS_ETCSGEN_BIN;
 const std::string kEtcsCli = ETCS_CLI_BIN;
+const std::string kExplain = kEtcsCli + " explain";
 const std::string kSatSolve = ETCS_SAT_SOLVE_BIN;
 const std::string kData = ETCS_DATA_DIR;
 const std::string kFixtures = ETCS_FIXTURE_DIR;
@@ -208,34 +201,93 @@ TEST(EtcslintCli, ReachJsonIsByteStable) {
     EXPECT_EQ(first.output, second.output) << "reach JSON must be deterministic";
 }
 
+/// The JSON report parses whatever bytes the input names hold: a control
+/// character in a track name reaches the L004 entity escaped.
+TEST(EtcslintCli, JsonEscapesControlCharactersInEntities) {
+    const std::string rail =
+        testing::TempDir() + "cli_test_control." + std::to_string(::getpid()) + ".rail";
+    std::ofstream(rail) << "network ctl\nnode a\nnode b\ntrack t\x01x a b 0\n";
+    const auto result = run(kLint + " --json " + rail);
+    EXPECT_EQ(result.exitCode, 1) << result.output;
+    etcs::util::JsonValue root;
+    ASSERT_NO_THROW(root = etcs::util::parseJson(result.output)) << result.output;
+    const etcs::util::JsonValue& diagnostics =
+        *root.find("reports")->items.at(0).find("report")->find("diagnostics");
+    bool cited = false;
+    for (const etcs::util::JsonValue& d : diagnostics.items) {
+        cited = cited || (d.find("code")->text == "L004" &&
+                          d.find("entity")->text == "track t\x01x");
+    }
+    EXPECT_TRUE(cited) << result.output;
+    std::remove(rail.c_str());
+}
+
+/// Quotes in train, station and file names are escaped in every part of the
+/// `--reach --json` report, not only in the diagnostics.
+TEST(EtcslintCli, ReachJsonEscapesNamesAndFiles) {
+    std::string rail = fileText(kData + "/quickstart.rail");
+    std::string sched = fileText(kData + "/quickstart.sched");
+    const auto replaceAll = [](std::string& text, const std::string& from,
+                               const std::string& to) {
+        for (std::size_t at = text.find(from); at != std::string::npos;
+             at = text.find(from, at + to.size())) {
+            text.replace(at, from.size(), to);
+        }
+    };
+    replaceAll(rail, "StWest", "St\"West");
+    replaceAll(sched, "StWest", "St\"West");
+    replaceAll(sched, "IC-East", "IC\"East");
+    const std::string railPath =
+        testing::TempDir() + "cli_test_quote." + std::to_string(::getpid()) + ".rail";
+    std::ofstream(railPath) << rail;
+    const std::string schedPath = writeSchedFile("cli_test_quo\"te", sched);
+    const auto result = run(kLint + " --reach --json " + railPath + " '" + schedPath + "'");
+    EXPECT_EQ(result.exitCode, 0) << result.output;
+    etcs::util::JsonValue root;
+    ASSERT_NO_THROW(root = etcs::util::parseJson(result.output)) << result.output;
+    const etcs::util::JsonValue& report = root.find("reports")->items.at(1);
+    EXPECT_EQ(report.find("file")->text, schedPath);
+    const etcs::util::JsonValue& run0 = report.find("reach")->find("runs")->items.at(0);
+    EXPECT_EQ(run0.find("train")->text, "IC\"East");
+    EXPECT_EQ(run0.find("windows")->items.at(0).find("station")->text, "St\"West");
+    std::remove(railPath.c_str());
+    std::remove(schedPath.c_str());
+}
+
 TEST(EtcslintCli, ReachWithMissingFileExitsTwo) {
     const auto result = run(kLint + " --reach /nonexistent/net.rail");
     EXPECT_EQ(result.exitCode, 2) << result.output;
 }
 
-TEST(GencnfCli, UnknownStudyExitsTwo) {
-    const auto result = run(kGencnf + " nosuch " + testing::TempDir() + "out.cnf");
-    EXPECT_EQ(result.exitCode, 2) << result.output;
-    EXPECT_NE(result.output.find("unknown study"), std::string::npos) << result.output;
-}
-
-TEST(GencnfCli, UnwritableOutputExitsTwoWithoutPartialFile) {
+TEST(EtcsCliEncode, UnwritableOutputExitsTwoWithoutPartialFile) {
     const std::string target = "/nonexistent_dir/out.cnf";
-    const auto result = run(kGencnf + " simple " + target);
+    const auto result = run(kEtcsCli + " encode " + kData + "/running_example.rail " + kData +
+                            "/running_example.sched --rs 500 --rt 30 --cnf " + target);
     EXPECT_EQ(result.exitCode, 2) << result.output;
     EXPECT_NE(result.output.find("error"), std::string::npos) << result.output;
     EXPECT_FALSE(std::ifstream(target).is_open()) << "no partial output may remain";
 }
 
-TEST(GencnfCli, ValidStudyWritesAFormula) {
-    const std::string target = testing::TempDir() + "cli_test_simple.cnf";
-    const auto result = run(kGencnf + " simple " + target);
+/// The written formula's DIMACS header carries the counts the tool prints.
+TEST(EtcsCliEncode, WritesADimacsHeader) {
+    const std::string target =
+        testing::TempDir() + "cli_test_encode." + std::to_string(::getpid()) + ".cnf";
+    const auto result = run(kEtcsCli + " encode " + kData + "/running_example.rail " + kData +
+                            "/running_example.sched --rs 500 --rt 30 --pure --cnf " + target);
     EXPECT_EQ(result.exitCode, 0) << result.output;
     std::ifstream in(target);
     ASSERT_TRUE(in.is_open());
-    std::string token;
-    in >> token;
-    EXPECT_TRUE(token == "c" || token == "p") << "DIMACS must start with a header";
+    std::string p;
+    std::string cnf;
+    std::size_t variables = 0;
+    std::size_t clauses = 0;
+    in >> p >> cnf >> variables >> clauses;
+    EXPECT_EQ(p + " " + cnf, "p cnf") << "DIMACS must start with its header";
+    EXPECT_NE(result.output.find("(" + std::to_string(variables) + " vars, " +
+                                 std::to_string(clauses) + " clauses, pure-TTD layout)"),
+              std::string::npos)
+        << result.output;
+    std::remove(target.c_str());
 }
 
 TEST(DratcheckCli, MissingFormulaExitsTwo) {
@@ -291,8 +343,8 @@ TEST(EtcsExplainCli, JsonReportIsBackedByADratCertifiedCore) {
     const std::string proofFile = stem + ".drat";
     const std::string command = kExplain + " " + kFixtures + "/corridor.rail " +
                                 kFixtures + "/infeasible.sched --rs 500 --rt 30 --json" +
-                                " --out " + jsonFile + " --cnf-out " + cnfFile +
-                                " --proof-out " + proofFile;
+                                " --out " + jsonFile + " --cnf " + cnfFile +
+                                " --proof " + proofFile;
     const auto result = run(command);
     ASSERT_EQ(result.exitCode, 1) << result.output;
 
@@ -548,6 +600,42 @@ TEST(EtcsCli, RemovedSolveModeFlagIsAUsageError) {
     }
 }
 
+/// The explanation has one producer, `etcs_cli explain`: the flags of the
+/// tasks' old explain mode and of the old etcs_explain tool are usage errors
+/// on every command, and so is a drawing, which explain never makes.
+TEST(EtcsCli, RemovedExplainFlagsAreUsageErrors) {
+    const std::string files = kData + "/quickstart.rail " + kData + "/quickstart.sched";
+    const std::string cnf = testing::TempDir() + "cli_test_removed." +
+                            std::to_string(::getpid()) + ".cnf";
+    for (const char* command : {"verify", "generate", "optimize", "encode", "explain"}) {
+        for (const char* flag : {"--explain", "--explain-json out.json", "--cnf-out out.cnf",
+                                 "--proof-out out.drat"}) {
+            SCOPED_TRACE(std::string(command) + " " + flag);
+            const auto result = run(kEtcsCli + " " + command + " " + files +
+                                    " --rs 500 --rt 30 --cnf " + cnf + " " + flag);
+            EXPECT_EQ(result.exitCode, 2) << result.output;
+            EXPECT_NE(result.output.find("usage: etcs_cli"), std::string::npos)
+                << result.output;
+        }
+    }
+    const auto dot = run(kExplain + " " + files + " --rs 500 --rt 30 --dot out.dot");
+    EXPECT_EQ(dot.exitCode, 2) << dot.output;
+    EXPECT_NE(dot.output.find("usage: etcs_cli"), std::string::npos) << dot.output;
+    EXPECT_FALSE(std::ifstream(cnf).is_open()) << "a usage error writes nothing";
+}
+
+/// The report's own flags belong to explain; the tasks reject them instead
+/// of ignoring them.
+TEST(EtcsCli, ExplainOnlyFlagsAreUsageErrorsOnTheTasks) {
+    for (const char* flag : {"--json", "--no-shrink", "--out report.txt", "--proof p.drat"}) {
+        SCOPED_TRACE(flag);
+        const auto result = run(kEtcsCli + " verify " + kData + "/quickstart.rail " + kData +
+                                "/quickstart.sched --rs 500 --rt 30 " + flag);
+        EXPECT_EQ(result.exitCode, 2) << result.output;
+        EXPECT_NE(result.output.find("usage: etcs_cli"), std::string::npos) << result.output;
+    }
+}
+
 TEST(SatSolveCli, RemovedSolveModeFlagsAreUsageErrors) {
     const std::string cnf =
         writeTempFile("sat_solve_removed_flags.cnf", "p cnf 2 2\n1 2 0\n-1 0\n");
@@ -582,7 +670,7 @@ TEST(EtcsExplainCli, MalformedNumbersAreUsageErrors) {
         SCOPED_TRACE(flags);
         const auto result = run(files + flags);
         EXPECT_EQ(result.exitCode, 2) << result.output;
-        EXPECT_NE(result.output.find("usage: etcs_explain"), std::string::npos)
+        EXPECT_NE(result.output.find("usage: etcs_cli"), std::string::npos)
             << result.output;
     }
 }
@@ -651,7 +739,9 @@ TEST(EtcsCli, OutOfMemoryExitsTwo) {
     const auto result = run(
         underTwoGigabytes(kEtcsCli + " verify " + longQuickstartFiles() + " --rs 1 --rt 60"));
     EXPECT_EQ(result.exitCode, 2) << result.output;
-    EXPECT_NE(result.output.find("error: std::bad_alloc"), std::string::npos) << result.output;
+    EXPECT_NE(result.output.find("segments"), std::string::npos) << result.output;
+    EXPECT_NE(result.output.find("coarsen r_s"), std::string::npos) << result.output;
+    EXPECT_EQ(result.output.find("std::bad_alloc"), std::string::npos) << result.output;
 }
 
 /// The linter discretizes the same 200 km line without an all-pairs table:

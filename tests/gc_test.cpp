@@ -126,7 +126,6 @@ TEST(GarbageCollection, CompactionReclaimsWastedWords) {
     Solver solver;
     // Aggressive clause-DB reduction so clauses get freed.
     solver.options().learntSizeFactor = 0.001;
-    solver.options().learntSizeIncrement = 1.01;
     addPigeonhole(solver, 8, 7);
     ASSERT_EQ(solver.solve(), SolveStatus::Unsat);
     // Either the automatic trigger already compacted, or waste remains and a
@@ -142,7 +141,6 @@ TEST(GarbageCollection, CompactionReclaimsWastedWords) {
 TEST(GarbageCollection, AutomaticTriggerFiresOnHardInstances) {
     Solver solver;
     solver.options().learntSizeFactor = 0.001;
-    solver.options().learntSizeIncrement = 1.0;
     addPigeonhole(solver, 9, 8);
     ASSERT_EQ(solver.solve(), SolveStatus::Unsat);
     EXPECT_GT(solver.stats().removedClauses, 0u);

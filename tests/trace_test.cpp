@@ -1,15 +1,22 @@
 // Tracer tests: the Chrome trace file is valid JSON with balanced B/E
-// events, log level parsing round-trips, and everything is a no-op when
-// tracing is off.
+// events, a traced task run carries its summary values in event args, and
+// everything is a no-op when tracing is off.
 #include <gtest/gtest.h>
 
-#include <cctype>
+#include <unistd.h>
+
 #include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <string_view>
+#include <vector>
 
+#include "core/tasks.hpp"
 #include "obs/trace.hpp"
+#include "studies/studies.hpp"
+#include "support/single_train_line.hpp"
+#include "util/json.hpp"
 
 namespace etcs::obs {
 namespace {
@@ -21,105 +28,16 @@ std::string slurp(const std::string& path) {
     return out.str();
 }
 
-/// Minimal recursive-descent JSON validator — enough to certify that the
-/// emitted trace parses. Accepts objects, arrays, strings (with escapes),
-/// numbers, and the three literals.
-class JsonValidator {
-public:
-    explicit JsonValidator(std::string_view text) : text_(text) {}
-
-    bool valid() {
-        skipSpace();
-        return value() && (skipSpace(), pos_ == text_.size());
-    }
-
-private:
-    bool value() {
-        if (pos_ >= text_.size()) return false;
-        switch (text_[pos_]) {
-            case '{': return object();
-            case '[': return array();
-            case '"': return string();
-            case 't': return literal("true");
-            case 'f': return literal("false");
-            case 'n': return literal("null");
-            default: return number();
-        }
-    }
-    bool object() {
-        ++pos_;  // '{'
-        skipSpace();
-        if (peek() == '}') { ++pos_; return true; }
-        while (true) {
-            skipSpace();
-            if (!string()) return false;
-            skipSpace();
-            if (peek() != ':') return false;
-            ++pos_;
-            skipSpace();
-            if (!value()) return false;
-            skipSpace();
-            if (peek() == ',') { ++pos_; continue; }
-            if (peek() == '}') { ++pos_; return true; }
-            return false;
-        }
-    }
-    bool array() {
-        ++pos_;  // '['
-        skipSpace();
-        if (peek() == ']') { ++pos_; return true; }
-        while (true) {
-            skipSpace();
-            if (!value()) return false;
-            skipSpace();
-            if (peek() == ',') { ++pos_; continue; }
-            if (peek() == ']') { ++pos_; return true; }
-            return false;
-        }
-    }
-    bool string() {
-        if (peek() != '"') return false;
-        ++pos_;
-        while (pos_ < text_.size()) {
-            const char c = text_[pos_++];
-            if (c == '"') return true;
-            if (c == '\\') {
-                if (pos_ >= text_.size()) return false;
-                ++pos_;  // accept any escaped character (incl. \uXXXX prefix)
-            } else if (static_cast<unsigned char>(c) < 0x20) {
-                return false;  // raw control character — must be escaped
-            }
-        }
+/// Whether `text` is one valid JSON document (util::parseJson also rejects
+/// raw control characters inside strings).
+bool parsesAsJson(const std::string& text) {
+    try {
+        (void)util::parseJson(text);
+        return true;
+    } catch (const InputError&) {
         return false;
     }
-    bool number() {
-        const std::size_t start = pos_;
-        if (peek() == '-') ++pos_;
-        while (pos_ < text_.size() &&
-               (std::isdigit(static_cast<unsigned char>(text_[pos_])) != 0 ||
-                text_[pos_] == '.' || text_[pos_] == 'e' || text_[pos_] == 'E' ||
-                text_[pos_] == '+' || text_[pos_] == '-')) {
-            ++pos_;
-        }
-        return pos_ > start;
-    }
-    bool literal(std::string_view word) {
-        if (text_.substr(pos_, word.size()) != word) return false;
-        pos_ += word.size();
-        return true;
-    }
-    char peek() const { return pos_ < text_.size() ? text_[pos_] : '\0'; }
-    void skipSpace() {
-        while (pos_ < text_.size() &&
-               (text_[pos_] == ' ' || text_[pos_] == '\n' || text_[pos_] == '\t' ||
-                text_[pos_] == '\r')) {
-            ++pos_;
-        }
-    }
-
-    std::string_view text_;
-    std::size_t pos_ = 0;
-};
+}
 
 std::size_t countOccurrences(const std::string& text, const std::string& needle) {
     std::size_t count = 0;
@@ -130,13 +48,19 @@ std::size_t countOccurrences(const std::string& text, const std::string& needle)
     return count;
 }
 
+/// ctest runs each case as its own process, concurrently under -j, so
+/// every trace file name is per-process.
+std::string tracePath(const std::string& stem) {
+    return ::testing::TempDir() + stem + "." + std::to_string(::getpid()) + ".json";
+}
+
 class TraceFixture : public ::testing::Test {
 protected:
     void TearDown() override {
         Tracer::stop();
         std::remove(path_.c_str());
     }
-    std::string path_ = ::testing::TempDir() + "etcs_trace_test.json";
+    std::string path_ = tracePath("etcs_trace_test");
 };
 
 TEST_F(TraceFixture, DisabledByDefaultAndSpansAreNoops) {
@@ -164,7 +88,7 @@ TEST_F(TraceFixture, ProducesValidJsonWithBalancedSpans) {
 
     const std::string text = slurp(path_);
     ASSERT_FALSE(text.empty());
-    EXPECT_TRUE(JsonValidator(text).valid()) << text;
+    EXPECT_TRUE(parsesAsJson(text)) << text;
     EXPECT_EQ(countOccurrences(text, "\"ph\":\"B\""), countOccurrences(text, "\"ph\":\"E\""));
     EXPECT_EQ(countOccurrences(text, "\"ph\":\"B\""), 2u);
     EXPECT_EQ(countOccurrences(text, "\"ph\":\"i\""), 1u);
@@ -178,13 +102,13 @@ TEST_F(TraceFixture, StopIsIdempotentAndEmptyTraceIsValid) {
     Tracer::stop();
     Tracer::stop();
     const std::string text = slurp(path_);
-    EXPECT_TRUE(JsonValidator(text).valid()) << text;
+    EXPECT_TRUE(parsesAsJson(text)) << text;
 }
 
 TEST_F(TraceFixture, RestartReplacesTraceFile) {
     ASSERT_TRUE(Tracer::start(path_));
     { const Span span("first"); }
-    const std::string second = ::testing::TempDir() + "etcs_trace_test2.json";
+    const std::string second = tracePath("etcs_trace_test2");
     ASSERT_TRUE(Tracer::start(second));
     { const Span span("second"); }
     Tracer::stop();
@@ -192,8 +116,8 @@ TEST_F(TraceFixture, RestartReplacesTraceFile) {
     const std::string firstText = slurp(path_);
     const std::string secondText = slurp(second);
     std::remove(second.c_str());
-    EXPECT_TRUE(JsonValidator(firstText).valid()) << firstText;
-    EXPECT_TRUE(JsonValidator(secondText).valid()) << secondText;
+    EXPECT_TRUE(parsesAsJson(firstText)) << firstText;
+    EXPECT_TRUE(parsesAsJson(secondText)) << secondText;
     EXPECT_NE(firstText.find("\"first\""), std::string::npos);
     EXPECT_EQ(firstText.find("\"second\""), std::string::npos);
     EXPECT_NE(secondText.find("\"second\""), std::string::npos);
@@ -204,50 +128,93 @@ TEST_F(TraceFixture, StartFailsOnUnwritablePath) {
     EXPECT_FALSE(tracingEnabled());
 }
 
-TEST(LogLevelTest, ParseRoundTrip) {
-    EXPECT_EQ(parseLogLevel("trace"), LogLevel::Trace);
-    EXPECT_EQ(parseLogLevel("DEBUG"), LogLevel::Debug);
-    EXPECT_EQ(parseLogLevel("Info"), LogLevel::Info);
-    EXPECT_EQ(parseLogLevel("warn"), LogLevel::Warn);
-    EXPECT_EQ(parseLogLevel("error"), LogLevel::Error);
-    EXPECT_EQ(parseLogLevel("bogus"), LogLevel::Off);
-    for (LogLevel level : {LogLevel::Trace, LogLevel::Debug, LogLevel::Info,
-                           LogLevel::Warn, LogLevel::Error}) {
-        EXPECT_EQ(parseLogLevel(toString(level)), level);
+/// The args of every trace event called `name`, in file order.
+std::vector<util::JsonValue> argsOf(const util::JsonValue& events, std::string_view name) {
+    std::vector<util::JsonValue> args;
+    for (const util::JsonValue& event : events.items) {
+        if (event.find("name")->text == name) {
+            args.push_back(*event.find("args"));
+        }
     }
+    return args;
 }
 
-TEST(LogLevelTest, ThresholdFiltering) {
-    Tracer::setLogLevel(LogLevel::Warn);
-    EXPECT_FALSE(logEnabled(LogLevel::Debug));
-    EXPECT_FALSE(logEnabled(LogLevel::Info));
-    EXPECT_TRUE(logEnabled(LogLevel::Warn));
-    EXPECT_TRUE(logEnabled(LogLevel::Error));
-    Tracer::setLogLevel(LogLevel::Off);
-    EXPECT_FALSE(logEnabled(LogLevel::Error));
+double numberAt(const util::JsonValue& args, std::string_view key) {
+    const util::JsonValue* value = args.find(key);
+    return value == nullptr ? -1.0 : value->number;
 }
 
-TEST(LogLevelTest, LogRecordsGoToFileAsJsonl) {
-    const std::string path = ::testing::TempDir() + "etcs_log_test.jsonl";
-    ASSERT_TRUE(Tracer::setLogFile(path));
-    Tracer::setLogLevel(LogLevel::Info);
-    log(LogLevel::Info, "test", "hello \"world\"", R"(,"n":3)");
-    log(LogLevel::Debug, "test", "filtered out");
-    Tracer::setLogLevel(LogLevel::Off);
-    Tracer::setLogFile("");
+/// A task's summary lives in the trace: a traced verification writes one
+/// `task.done` instant whose args are its TaskStats, the encoder's
+/// `encode.done` names the horizon, and each solve's `sat.solve.done`
+/// reports its status and work.
+TEST_F(TraceFixture, TracedVerificationWritesItsTaskStats) {
+    const studies::CaseStudy study = studies::runningExample();
+    const core::Instance timed(study.network, study.trains, study.timedSchedule,
+                               study.resolution);
+    const core::VssLayout pure(timed.graph());
+    ASSERT_TRUE(Tracer::start(path_));
+    const core::VerificationResult result = core::verifySchedule(timed, pure);
+    Tracer::stop();
+    ASSERT_FALSE(result.feasible);
+    const core::TaskStats& stats = result.stats;
 
-    std::ifstream in(path);
-    std::string line;
-    std::size_t lines = 0;
-    while (std::getline(in, line)) {
-        if (line.empty()) continue;
-        ++lines;
-        EXPECT_TRUE(JsonValidator(line).valid()) << line;
-        EXPECT_NE(line.find("\"component\":\"test\""), std::string::npos);
-        EXPECT_NE(line.find("\"n\":3"), std::string::npos);
+    const util::JsonValue events = util::parseJson(slurp(path_));
+    const auto done = argsOf(events, "task.done");
+    ASSERT_EQ(done.size(), 1u);
+    EXPECT_EQ(done[0].find("task")->text, "verify");
+    EXPECT_EQ(numberAt(done[0], "variables"), stats.numVariables);
+    EXPECT_EQ(numberAt(done[0], "clauses"), static_cast<double>(stats.numClauses));
+    EXPECT_EQ(numberAt(done[0], "solve_calls"), static_cast<double>(stats.solveCalls));
+    EXPECT_EQ(numberAt(done[0], "conflicts"), static_cast<double>(stats.conflicts));
+    EXPECT_EQ(numberAt(done[0], "propagations"), static_cast<double>(stats.propagations));
+    EXPECT_EQ(numberAt(done[0], "decisions"), static_cast<double>(stats.decisions));
+    EXPECT_EQ(numberAt(done[0], "restarts"), static_cast<double>(stats.restarts));
+    EXPECT_EQ(numberAt(done[0], "max_decision_level"),
+              static_cast<double>(stats.maxDecisionLevel));
+    EXPECT_EQ(numberAt(done[0], "peak_learnts"), static_cast<double>(stats.peakLearnts));
+    EXPECT_EQ(numberAt(done[0], "seconds"), stats.runtimeSeconds);
+
+    const auto encoded = argsOf(events, "encode.done");
+    ASSERT_EQ(encoded.size(), 1u);
+    EXPECT_EQ(numberAt(encoded[0], "horizon"), timed.horizonSteps());
+
+    const auto solves = argsOf(events, "sat.solve.done");
+    ASSERT_EQ(solves.size(), stats.solveCalls);
+    double conflicts = 0;
+    for (const util::JsonValue& solve : solves) {
+        EXPECT_GE(numberAt(solve, "seconds"), 0.0);
+        EXPECT_GE(numberAt(solve, "propagations"), 0.0);
+        conflicts += numberAt(solve, "conflicts");
     }
-    EXPECT_EQ(lines, 1u);
-    std::remove(path.c_str());
+    EXPECT_EQ(solves.back().find("status")->text, "unsat");
+    EXPECT_EQ(conflicts, static_cast<double>(stats.conflicts));
+}
+
+/// A gate rejection says which gate and how many findings refuted the
+/// schedule, and the task still closes with its `task.done` instant.
+TEST_F(TraceFixture, GateRejectionIsTraced) {
+    // B is 7 segments from A and the train covers 5 a step, so an arrival
+    // at step 1 is refuted by the schedule lints.
+    const test::SingleTrainLine line(500, 200, 30, Seconds(600), Seconds(60));
+    const core::Instance instance(line.network, line.trains, line.schedule,
+                                  test::SingleTrainLine::kResolution);
+    ASSERT_TRUE(Tracer::start(path_));
+    const core::VerificationResult result =
+        core::verifySchedule(instance, core::VssLayout(instance.graph()));
+    Tracer::stop();
+    ASSERT_FALSE(result.feasible);
+    ASSERT_EQ(result.stats.solveCalls, 0u);
+
+    const util::JsonValue events = util::parseJson(slurp(path_));
+    const auto rejected = argsOf(events, "gate.rejected");
+    ASSERT_EQ(rejected.size(), 1u);
+    EXPECT_EQ(rejected[0].find("gate")->text, "lint");
+    EXPECT_GE(numberAt(rejected[0], "errors"), 1.0);
+    const auto done = argsOf(events, "task.done");
+    ASSERT_EQ(done.size(), 1u);
+    EXPECT_EQ(numberAt(done[0], "solve_calls"), 0.0);
+    EXPECT_EQ(numberAt(done[0], "seconds"), result.stats.runtimeSeconds);
 }
 
 TEST(JsonEscapeTest, EscapesSpecials) {

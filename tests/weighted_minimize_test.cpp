@@ -1,4 +1,4 @@
-// Weighted minimization and scoped (always-assume) search tests.
+// Weighted minimization and scoped (always-assume) index search tests.
 #include <gtest/gtest.h>
 
 #include "cnf/backend.hpp"
@@ -101,22 +101,6 @@ TEST(WeightedMinimize, RejectsNonPositiveWeights) {
     EXPECT_THROW(
         (void)minimizeWeightedTrueLiterals(*backend, soft, weights),
         PreconditionError);
-}
-
-TEST(ScopedMinimize, AlwaysAssumeRestrictsTheSearch) {
-    // Without scope: optimum 0. Scoped to y: the demand y -> (x0 | x1)
-    // activates and the optimum becomes 1.
-    const auto backend = cnf::makeInternalBackend();
-    const auto soft = makeInputs(*backend, 2);
-    const Literal y = Literal::positive(backend->addVariable());
-    backend->addClause({~y, soft[0], soft[1]});
-    const auto unscoped = minimizeTrueLiterals(*backend, soft);
-    ASSERT_TRUE(unscoped.feasible);
-    EXPECT_EQ(unscoped.optimum, 0);
-    const Literal scope[] = {y};
-    const auto scoped = minimizeTrueLiterals(*backend, soft, SearchStrategy::LinearDown, scope);
-    ASSERT_TRUE(scoped.feasible);
-    EXPECT_EQ(scoped.optimum, 1);
 }
 
 TEST(ScopedMinimize, AlwaysAssumeAppliesToIndexSearch) {

@@ -12,7 +12,7 @@
 ///   <name>.sched  the trains + fully timed schedule,
 ///   <name>.json   a manifest with seed + parameters for exact reproduction.
 /// With --dimacs additionally <name>.cnf: the verification encoding on the
-/// finest layout, through the same shared DIMACS writer as gencnf.
+/// finest layout, through the same shared DIMACS writer as `etcs_cli encode`.
 ///
 /// Identical parameters produce byte-identical files on every platform (the
 /// generator draws raw mt19937_64 outputs; see docs/GENERATOR.md).

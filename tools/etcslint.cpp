@@ -19,6 +19,7 @@
 #include "lint/diagnostics.hpp"
 #include "lint/rail_lint.hpp"
 #include "lint/reach.hpp"
+#include "obs/trace.hpp"
 #include "railway/segment_graph.hpp"
 #include "sat/dimacs.hpp"
 #include "util/units.hpp"
@@ -76,19 +77,21 @@ void writeReachReport(std::ostream& os, bool json, const etcs::rail::SegmentGrap
             return analysis.window(run, segment);
         };
         if (json) {
-            os << (run > 0 ? "," : "") << "{\"train\":\"" << train
+            os << (run > 0 ? "," : "") << "{\"train\":\"" << etcs::obs::jsonEscape(train)
                << "\",\"schedule_run\":" << reach.scheduleRunIndex[run]
                << ",\"cutoff_step\":" << analysis.runCutoffStep(run)
                << ",\"prompt_cutoff\":" << (analysis.promptCutoff(run) ? "true" : "false")
                << ",\"windows\":[";
             const etcs::lint::StepWindow origin = window(r.originSegment);
-            os << "{\"station\":\"" << network.station(scheduleRun.origin).name
+            os << "{\"station\":\""
+               << etcs::obs::jsonEscape(network.station(scheduleRun.origin).name)
                << "\",\"role\":\"origin\",\"earliest\":" << origin.earliest
                << ",\"latest\":" << origin.latest << "}";
             for (std::size_t j = 0; j < r.stops.size(); ++j) {
                 const etcs::lint::StepWindow w = window(r.stops[j].segment);
                 os << ",{\"station\":\""
-                   << network.station(scheduleRun.stops[j].station).name << "\",\"role\":\""
+                   << etcs::obs::jsonEscape(network.station(scheduleRun.stops[j].station).name)
+                   << "\",\"role\":\""
                    << (r.stops[j].arrivalStep ? "pinned" : "open") << "\"";
                 if (r.stops[j].arrivalStep) {
                     os << ",\"arrival_step\":" << *r.stops[j].arrivalStep;
@@ -239,7 +242,7 @@ int main(int argc, char** argv) {
             if (!first) {
                 std::cout << ",";
             }
-            std::cout << "{\"file\":\"" << file << "\",\"report\":";
+            std::cout << "{\"file\":\"" << etcs::obs::jsonEscape(file) << "\",\"report\":";
             report.writeJson(std::cout);
             if (!reachJson.empty()) {
                 std::cout << ",\"reach\":" << reachJson;
