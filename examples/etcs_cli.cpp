@@ -10,6 +10,11 @@
 ///                     [--pure] [--no-shrink] [--json] [--out <file>]
 ///                     [--cnf <file>] [--proof <file>]
 ///
+/// A flag belongs to the commands shown with it: --dot to generate and
+/// optimize, --cnf and --pure to encode and explain, the report's flags to
+/// explain. Given to any other command it is a usage error (exit 2), never
+/// silently ignored.
+///
 /// `encode` exports the satisfiability instance in DIMACS CNF format
 /// (free-layout generation encoding; --pure pins the pure TTD layout as in
 /// the verification task) for use with any external SAT solver.
@@ -64,10 +69,11 @@ struct CliOptions {
 
 void usage() {
     std::cerr << "usage: etcs_cli <verify|generate|optimize|encode|explain> <network.rail> "
-                 "<scenario.sched> --rs <meters> --rt <seconds> [--dot <file>] "
-                 "[--cnf <file>] [--pure]\n"
-                 "       explain only: [--no-shrink] [--json] [--out <file>] "
-                 "[--proof <file>]\n";
+                 "<scenario.sched> --rs <meters> --rt <seconds>\n"
+                 "       generate, optimize: [--dot <file>]\n"
+                 "       encode: --cnf <file> [--pure]\n"
+                 "       explain: [--pure] [--no-shrink] [--json] [--out <file>] "
+                 "[--cnf <file>] [--proof <file>]\n";
 }
 
 std::optional<CliOptions> parseArguments(int argc, char** argv) {
@@ -130,9 +136,13 @@ std::optional<CliOptions> parseArguments(int argc, char** argv) {
         options.command != "explain") {
         return std::nullopt;
     }
+    // A flag given to a command that does not use it is a usage error.
     const bool explain = options.command == "explain";
-    if (explain ? options.dotFile.has_value()
-                : !options.shrink || options.json || options.outFile || options.proofFile) {
+    const bool drawsLayout = options.command == "generate" || options.command == "optimize";
+    const bool writesFormula = explain || options.command == "encode";
+    if ((options.dotFile && !drawsLayout) ||
+        ((options.cnfFile || options.pureLayout) && !writesFormula) ||
+        (!explain && (!options.shrink || options.json || options.outFile || options.proofFile))) {
         return std::nullopt;
     }
     if (options.command == "encode" && !options.cnfFile) {

@@ -2,12 +2,14 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <new>
 #include <string>
 #include <utility>
 
 #include "cnf/amo.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "util/error.hpp"
 
 namespace etcs::core {
 
@@ -17,6 +19,48 @@ namespace {
 std::uint64_t pathKey(SegmentId e, SegmentId f, int maxLength) {
     return (static_cast<std::uint64_t>(e.get()) << 40) |
            (static_cast<std::uint64_t>(f.get()) << 16) | static_cast<std::uint64_t>(maxLength);
+}
+
+/// The hop rows one run's cone reads: from its origin, and from each pinned
+/// stop with that stop's arrival step (hop distances are symmetric).
+struct ConeRows {
+    std::vector<int> fromOrigin;
+    std::vector<std::pair<int, std::vector<int>>> fromPinned;
+};
+
+ConeRows coneRows(const rail::SegmentGraph& graph, const DiscreteRun& r) {
+    ConeRows rows;
+    rows.fromOrigin.resize(graph.numSegments());
+    graph.distancesFrom(r.originSegment, rows.fromOrigin);
+    for (const DiscreteStop& stop : r.stops) {
+        if (stop.arrivalStep) {
+            auto& pinned = rows.fromPinned.emplace_back(*stop.arrivalStep,
+                                                        std::vector<int>(graph.numSegments()));
+            graph.distancesFrom(stop.segment, pinned.second);
+        }
+    }
+    return rows;
+}
+
+/// Whether `segment` at `step` lies in the run's cone: reachable from the
+/// origin since departure, and within reach of every pinned stop's arrival.
+bool inCone(const DiscreteRun& r, const ConeRows& rows, SegmentId segment, int step) {
+    const auto travel = [&r](int distance) {
+        return rail::travelLowerBound(distance, r.lengthSegments, r.speedSegments);
+    };
+    const int fromOrigin = rows.fromOrigin[segment.get()];
+    if (step < r.departureStep || fromOrigin < 0 ||
+        step - r.departureStep < travel(fromOrigin)) {
+        return false;
+    }
+    // Every pinned stop anchors a cone in both time directions.
+    for (const auto& [arrival, hops] : rows.fromPinned) {
+        const int d = hops[segment.get()];
+        if (d < 0 || std::abs(step - arrival) < travel(d)) {
+            return false;
+        }
+    }
+    return true;
 }
 
 }  // namespace
@@ -29,36 +73,15 @@ Encoder::Encoder(SatBackend& backend, const Instance& instance, EncoderOptions o
     }
 }
 
-bool Encoder::inCone(std::size_t run, SegmentId segment, int step) const {
-    const DiscreteRun& r = instance_->runs()[run];
-    const auto travel = [&r](int distance) {
-        return rail::travelLowerBound(distance, r.lengthSegments, r.speedSegments);
-    };
-    const int fromOrigin = instance_->segmentDistance(r.originSegment, segment);
-    if (step < r.departureStep || fromOrigin < 0 ||
-        step - r.departureStep < travel(fromOrigin)) {
-        return false;
-    }
-    // Every pinned stop anchors a cone in both time directions.
-    for (const DiscreteStop& stop : r.stops) {
-        if (!stop.arrivalStep) {
-            continue;
-        }
-        const int d = instance_->segmentDistance(segment, stop.segment);
-        if (d < 0 || std::abs(step - *stop.arrivalStep) < travel(d)) {
-            return false;
-        }
-    }
-    return true;
-}
-
 void Encoder::createOccupiesVariables() {
     const auto& graph = instance_->graph();
     std::uint64_t prunedCells = 0;
     for (std::size_t run = 0; run < instance_->numRuns(); ++run) {
+        const DiscreteRun& r = instance_->runs()[run];
+        const ConeRows rows = coneRows(graph, r);
         for (int t = 0; t < instance_->horizonSteps(); ++t) {
             for (std::size_t s = 0; s < graph.numSegments(); ++s) {
-                if (!inCone(run, SegmentId(s), t)) {
+                if (!inCone(r, rows, SegmentId(s), t)) {
                     continue;
                 }
                 if (prune_ && !prune_->possible(run, SegmentId(s), t)) {
@@ -124,7 +147,7 @@ void Encoder::accumulateFamily(std::string_view family, int variables, std::size
     familyCounts_.push_back(FamilyCounts{family, variables, clauses});
 }
 
-void Encoder::encode(const VssLayout* fixedLayout) {
+void Encoder::encode(const VssLayout* fixedLayout) try {
     ETCS_REQUIRE_MSG(!encoded_, "encode() may only be called once per Encoder");
     encoded_ = true;
     fixedLayout_ = fixedLayout;
@@ -190,6 +213,11 @@ void Encoder::encode(const VssLayout* fixedLayout) {
                            ",\"horizon\":" + std::to_string(instance_->horizonSteps()) + "}";
         obs::Tracer::instant("encode.done", args);
     }
+} catch (const std::bad_alloc&) {
+    // A fine r_s on a long line grows the formula past the memory at hand.
+    throw InputError("the encoding of " + std::to_string(instance_->graph().numSegments()) +
+                     " segments over " + std::to_string(instance_->horizonSteps()) +
+                     " steps does not fit in memory; coarsen r_s");
 }
 
 void Encoder::recordProvenanceMetrics() const {
@@ -306,13 +334,9 @@ void Encoder::encodeMovement(std::size_t run) {
                 continue;
             }
             std::vector<Literal> clause{~occNow[e]};
-            for (std::size_t f = 0; f < numSegments; ++f) {
-                if (!occNext[f].valid()) {
-                    continue;
-                }
-                const int d = instance_->segmentDistance(SegmentId(e), SegmentId(f));
-                if (d >= 0 && d <= r.speedSegments) {
-                    clause.push_back(occNext[f]);
+            for (const SegmentId f : neighbourhood(SegmentId(e), r.speedSegments)) {
+                if (occNext[f.get()].valid()) {
+                    clause.push_back(occNext[f.get()]);
                 }
             }
             if (doneNext.valid()) {
@@ -534,6 +558,18 @@ void Encoder::encodeVssSeparation(std::size_t run1, std::size_t run2) {
     tagEnd();
 }
 
+const std::vector<SegmentId>& Encoder::neighbourhood(SegmentId segment, int speed) {
+    auto& lists = neighbourhoodsBySpeed_[speed];
+    if (lists.empty()) {
+        lists.resize(instance_->graph().numSegments());
+    }
+    std::vector<SegmentId>& list = lists[segment.get()];
+    if (list.empty()) {  // a filled list holds at least `segment` itself
+        list = instance_->graph().neighbourhood(segment, speed);
+    }
+    return list;
+}
+
 const std::vector<SegmentId>& Encoder::pathUnion(SegmentId e, SegmentId f, int maxLength) {
     const std::uint64_t key = pathKey(e, f, maxLength);
     const auto it = pathUnionCache_.find(key);
@@ -589,17 +625,13 @@ void Encoder::encodePassThrough(std::size_t mover) {
             if (!occNow[e].valid()) {
                 continue;
             }
-            for (std::size_t f = 0; f < numSegments; ++f) {
-                if (e == f || !occNext[f].valid()) {
-                    continue;
-                }
-                const int d = instance_->segmentDistance(SegmentId(e), SegmentId(f));
-                if (d < 1 || d > r.speedSegments) {
+            for (const SegmentId f : neighbourhood(SegmentId(e), r.speedSegments)) {
+                if (f.get() == e || !occNext[f.get()].valid()) {
                     continue;
                 }
                 // A move of distance d traverses d+1 segments including both
                 // endpoints, hence the +1 on the path-length bound.
-                for (SegmentId g : pathUnion(SegmentId(e), SegmentId(f), r.speedSegments + 1)) {
+                for (SegmentId g : pathUnion(SegmentId(e), f, r.speedSegments + 1)) {
                     if (contested[g.get()] == 0) {
                         continue;
                     }
@@ -607,7 +639,7 @@ void Encoder::encodePassThrough(std::size_t mover) {
                         sweep[g.get()] = Literal::positive(backend_->addVariable());
                     }
                     // (occ[e]^t & occ[f]^{t+1}) -> sweep[g]
-                    backend_->addClause({~occNow[e], ~occNext[f], sweep[g.get()]});
+                    backend_->addClause({~occNow[e], ~occNext[f.get()], sweep[g.get()]});
                 }
             }
         }

@@ -3,9 +3,10 @@
 ///
 /// Variables:
 ///  * occupies[r][e][t] — run r occupies segment e at step t. Created only
-///    inside the run's reachability cone (forward from the origin, and
-///    backward from the destination when the arrival is pinned); everything
-///    outside the cone is constant false.
+///    inside the run's reachability cone (forward from the origin, and in
+///    both time directions around every pinned stop); everything outside the
+///    cone is constant false. The cone reads one BFS row per run origin and
+///    pinned stop, so the encoder holds no all-pairs distance table.
 ///  * border[v]         — candidate node v is a VSS border (free-layout
 ///    mode only; in fixed-layout mode borders are compile-time constants).
 ///    Allocated false-first (cnf::addFalseFirstLiteral) so the border
@@ -19,7 +20,9 @@
 ///
 /// Constraint families (paper Sec. III-B):
 ///  C1 chain occupancy, C2 movement, C3 VSS separation, C4 no pass-through,
-/// plus the schedule pinning of Sec. III-C.
+/// plus the schedule pinning of Sec. III-C. C2 and C4 walk each occupied
+/// segment's v*-hop neighbourhood (SegmentGraph::neighbourhood, the paper's
+/// reachable(e, tr)) in ascending segment order, memoized per speed.
 #pragma once
 
 #include <optional>
@@ -83,7 +86,8 @@ public:
 
     /// Emit all constraints over the full horizon. Pass a layout to pin every
     /// border (verification task); pass nullptr to leave borders free
-    /// (generation/optimization). May only be called once.
+    /// (generation/optimization). May only be called once. Throws InputError
+    /// when the formula does not fit in memory.
     void encode(const VssLayout* fixedLayout);
 
     /// Free border literals (free-layout mode), for the minimization
@@ -163,7 +167,8 @@ private:
     }
     void recordProvenanceMetrics() const;
 
-    [[nodiscard]] bool inCone(std::size_t run, SegmentId segment, int step) const;
+    /// Segments within `speed` hops of `segment`, ascending (memoized).
+    [[nodiscard]] const std::vector<SegmentId>& neighbourhood(SegmentId segment, int speed);
     /// Union of segments on all node-simple paths from e to f of at most
     /// maxLength segments (memoized; endpoints included).
     [[nodiscard]] const std::vector<SegmentId>& pathUnion(SegmentId e, SegmentId f,
@@ -203,6 +208,8 @@ private:
 
     // chains per train length, computed once per distinct length
     std::unordered_map<int, std::vector<rail::Chain>> chainsByLength_;
+    // v*-hop neighbourhoods per speed, [segment] filled on first use
+    std::unordered_map<int, std::vector<std::vector<SegmentId>>> neighbourhoodsBySpeed_;
     // memoized path unions keyed by (e, f, maxLength)
     std::unordered_map<std::uint64_t, std::vector<SegmentId>> pathUnionCache_;
     // sweep_[pair-run][t][segment] created lazily inside encodePassThrough

@@ -1,7 +1,6 @@
 #include "core/instance.hpp"
 
 #include <algorithm>
-#include <new>
 #include <string>
 
 namespace etcs::core {
@@ -46,29 +45,14 @@ Instance::Instance(const Network& network, const TrainSet& trains, const Schedul
     }
     runs_ = std::move(discrete.runs);
 
-    // All-pairs hop distances, one BFS row per segment (graphs here are
-    // small; the encoder queries distances heavily for its reachability
-    // cones). A fine r_s on a long line makes the table too large to hold.
-    const std::size_t n = graph_->numSegments();
-    try {
-        distance_.resize(n * n);
-    } catch (const std::bad_alloc&) {
-        throw InputError("the distance table of " + std::to_string(n) +
-                         " segments does not fit in memory; coarsen r_s");
+    // One origin-destination distance per run bounds its arrival.
+    earliestArrival_.reserve(runs_.size());
+    for (const DiscreteRun& r : runs_) {
+        const int travel = graph_->distance(r.originSegment, r.destination().segment);
+        earliestArrival_.push_back(
+            r.departureStep +
+            rail::travelLowerBound(travel, r.lengthSegments, r.speedSegments));
     }
-    for (std::size_t s = 0; s < n; ++s) {
-        graph_->distancesFrom(SegmentId(s), std::span(distance_).subspan(s * n, n));
-    }
-}
-
-int Instance::segmentDistance(SegmentId a, SegmentId b) const {
-    return distance_[a.get() * graph_->numSegments() + b.get()];
-}
-
-int Instance::earliestArrivalStep(std::size_t run) const {
-    const DiscreteRun& r = runs_.at(run);
-    const int travel = segmentDistance(r.originSegment, r.destination().segment);
-    return r.departureStep + rail::travelLowerBound(travel, r.lengthSegments, r.speedSegments);
 }
 
 int Instance::completionLowerBound() const {

@@ -2,9 +2,10 @@
 /// A discretized problem instance: network, trains and schedule brought to
 /// the common (r_s, r_t) grid of paper Sec. III-A.
 ///
-/// The instance owns the segment graph, the per-run discrete data every
-/// downstream component (encoder, simulator glue, validator) works with, and
-/// the all-pairs hop-distance table the encoder's cones read. The grid
+/// The instance owns the segment graph and the per-run discrete data every
+/// downstream component (encoder, simulator glue, validator) works with. It
+/// holds nothing quadratic in the segment count: hop distances come from the
+/// graph's BFS rows and neighbourhoods where they are needed. The grid
 /// mapping and the travel bound are the railway layer's
 /// (railway/discretize.hpp); the instance rejects the runs it cannot encode.
 #pragma once
@@ -58,13 +59,12 @@ public:
     [[nodiscard]] std::span<const DiscreteRun> runs() const noexcept { return runs_; }
     [[nodiscard]] std::size_t numRuns() const noexcept { return runs_.size(); }
 
-    /// Hop distance between segments, cached (used by the encoder's cones).
-    [[nodiscard]] int segmentDistance(SegmentId a, SegmentId b) const;
-
     /// Earliest step at which run `run` could reach its destination: its
     /// departure plus rail::travelLowerBound of the origin-destination
-    /// distance.
-    [[nodiscard]] int earliestArrivalStep(std::size_t run) const;
+    /// distance (computed at construction).
+    [[nodiscard]] int earliestArrivalStep(std::size_t run) const {
+        return earliestArrival_.at(run);
+    }
 
     /// Earliest step at which all runs could possibly be done, each one step
     /// after its earliest arrival: the lower bound of the completion-time
@@ -79,8 +79,7 @@ private:
     Resolution resolution_;
     int horizonSteps_ = 0;
     std::vector<DiscreteRun> runs_;
-    // all-pairs segment distances (numSegments^2, computed once)
-    std::vector<int> distance_;
+    std::vector<int> earliestArrival_;  // per run
 };
 
 }  // namespace etcs::core

@@ -184,14 +184,15 @@ bool solve(Session& session, TaskStats& stats) {
     return session.backend->solve() == cnf::SolveStatus::Sat;
 }
 
-/// The section objective min sum(border_v); false when no model was found
-/// (the formula is UNSAT or a solve was cancelled).
-bool minimizeBorders(Session& session, const TaskOptions& options, TaskStats& stats) {
+/// The section objective min sum(border_v); infeasible when no model was
+/// found (the formula is UNSAT or a solve was cancelled).
+opt::MinimizeResult minimizeBorders(Session& session, const TaskOptions& options,
+                                    TaskStats& stats) {
     const obs::Span minimizeSpan("minimize.borders");
     const auto minimized = opt::minimizeTrueLiterals(
         *session.backend, session.encoder.freeBorderLiterals(), options.borderSearch);
     stats.solveCalls += minimized.solveCalls;
-    return minimized.feasible;
+    return minimized;
 }
 
 }  // namespace
@@ -217,8 +218,9 @@ GenerationResult generateLayout(const Instance& instance, const TaskOptions& opt
     GenerationResult result;
     result.solution = runTask(instance, options, "generate", result.stats, [&](Session& session) {
         session.encoder.encode(nullptr);
-        return options.minimizeSections ? minimizeBorders(session, options, result.stats)
-                                        : solve(session, result.stats);
+        return options.minimizeSections
+                   ? minimizeBorders(session, options, result.stats).feasible
+                   : solve(session, result.stats);
     });
     result.feasible = result.solution.has_value();
     if (result.feasible) {
@@ -267,7 +269,7 @@ OptimizationResult optimizeImpl(const Instance& instance, const VssLayout* fixed
             // Freeze the optimal completion time, then minimize virtual
             // borders.
             session.backend->addUnit(encoder.doneAllLiteral(completionSteps));
-            return minimizeBorders(session, options, result.stats);
+            return minimizeBorders(session, options, result.stats).feasible;
         }
         return true;
     });
@@ -424,13 +426,14 @@ IndividualArrivalResult optimizeIndividualArrivals(const Instance& instance,
                 // Freeze this train's arrival before optimizing the next one.
                 backend.addUnit(encoder.doneLiteral(run, search.index));
             }
-            // A cancelled solve leaves the task without a solution, like the
-            // other tasks; only UNSAT would contradict the searches above.
-            ++result.stats.solveCalls;
-            const cnf::SolveStatus status = backend.solve();
-            ETCS_REQUIRE_MSG(status != cnf::SolveStatus::Unsat,
+            // With every arrival frozen, minimize sections as optimizeSchedule
+            // does after its completion search. A cancelled solve leaves the
+            // task without a solution, like the other tasks; only UNSAT would
+            // contradict the searches above.
+            const opt::MinimizeResult minimized = minimizeBorders(session, options, result.stats);
+            ETCS_REQUIRE_MSG(minimized.feasible || minimized.cancelled,
                              "lexicographically fixed instance must stay satisfiable");
-            return status == cnf::SolveStatus::Sat;
+            return minimized.feasible;
         });
     result.feasible = result.solution.has_value();
     return result;

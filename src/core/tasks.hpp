@@ -158,7 +158,9 @@ struct IndividualArrivalResult {
 /// global completion time, minimize each train's own arrival,
 /// lexicographically in priority order (`priority` lists run indices; empty
 /// = schedule order). Trains earlier in the order get the best possible
-/// arrival; later trains optimize within what remains.
+/// arrival; later trains optimize within what remains. With every arrival
+/// fixed, the solution's layout has the fewest sections (the secondary
+/// objective optimizeSchedule minimizes too).
 [[nodiscard]] IndividualArrivalResult optimizeIndividualArrivals(
     const Instance& instance, std::vector<std::size_t> priority = {},
     const TaskOptions& options = {});

@@ -78,6 +78,9 @@ std::vector<std::string> validateSolution(const Instance& instance, const Soluti
     ETCS_REQUIRE_MSG(solution.traces.size() == instance.numRuns(),
                      "solution has a trace per run");
 
+    // One BFS row of hop distances from the segment being checked.
+    std::vector<int> hops(graph.numSegments());
+
     // Section lookup for the solution's layout.
     const auto sections = graph.sections(solution.layout.flags());
     std::vector<int> sectionOf(graph.numSegments(), -1);
@@ -185,9 +188,10 @@ std::vector<std::string> validateSolution(const Instance& instance, const Soluti
                 continue;
             }
             for (SegmentId e : now) {
+                graph.distancesFrom(e, hops);
                 const bool reachable =
                     std::any_of(next.begin(), next.end(), [&](SegmentId f) {
-                        const int d = instance.segmentDistance(e, f);
+                        const int d = hops[f.get()];
                         return d >= 0 && d <= r.speedSegments;
                     });
                 if (!reachable) {
@@ -227,8 +231,9 @@ std::vector<std::string> validateSolution(const Instance& instance, const Soluti
             }
             std::set<SegmentId> corridor;
             for (SegmentId e : now) {
+                graph.distancesFrom(e, hops);
                 for (SegmentId f : next) {
-                    const int d = instance.segmentDistance(e, f);
+                    const int d = hops[f.get()];
                     if (d < 1 || d > rm.speedSegments) {
                         continue;
                     }

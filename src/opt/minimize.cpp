@@ -50,18 +50,14 @@ MinimizeResult minimizeImpl(SatBackend& backend, std::span<const Literal> soft,
     const obs::Span span("opt.minimize");
     MinimizeResult result;
 
-    if (soft.empty()) {
-        ++result.solveCalls;
-        result.feasible = backend.solve() == SolveStatus::Sat;
-        return result;
-    }
-
     // First solve establishes feasibility and the initial incumbent.
     ++result.solveCalls;
-    if (backend.solve() != SolveStatus::Sat) {
+    const SolveStatus first = backend.solve();
+    result.feasible = first == SolveStatus::Sat;
+    result.cancelled = first == SolveStatus::Unknown;
+    if (!result.feasible || soft.empty()) {
         return result;
     }
-    result.feasible = true;
     int incumbent = weightedCount(backend, soft, weights);
     recordIncumbent(incumbent);
     if (incumbent == 0) {
@@ -124,7 +120,7 @@ MinimizeResult minimizeImpl(SatBackend& backend, std::span<const Literal> soft,
     // stops at the first one and reports no optimum, as a cancelled first
     // solve does.
     if (cancelled) {
-        return MinimizeResult{.solveCalls = result.solveCalls};
+        return MinimizeResult{.cancelled = true, .solveCalls = result.solveCalls};
     }
     result.optimum = incumbent;
 

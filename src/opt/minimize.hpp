@@ -42,6 +42,7 @@ struct MinimizeResult {
     bool feasible = false;       ///< false: hard constraints are unsatisfiable, or a
                                  ///< solve was cancelled (SolveStatus::Unknown),
                                  ///< which ends the search at once.
+    bool cancelled = false;      ///< a solve was cancelled (then feasible is false).
     int optimum = 0;             ///< minimum number of true soft literals.
     std::uint64_t solveCalls = 0;
 };

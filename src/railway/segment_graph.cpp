@@ -306,6 +306,31 @@ void SegmentGraph::distancesFrom(SegmentId source, std::span<int> out) const {
     }
 }
 
+std::vector<SegmentId> SegmentGraph::neighbourhood(SegmentId source, int radius) const {
+    ETCS_REQUIRE_MSG(radius >= 0, "neighbourhood radius must be non-negative");
+    // BFS whose queue is the result: found[levelBegin, levelEnd) are the
+    // segments exactly `hop` hops away. A neighbourhood holds a handful of
+    // segments, so a scan of it beats a per-call array over the whole graph.
+    std::vector<SegmentId> found{source};
+    std::size_t levelBegin = 0;
+    for (int hop = 0; hop < radius && levelBegin < found.size(); ++hop) {
+        const std::size_t levelEnd = found.size();
+        for (std::size_t i = levelBegin; i < levelEnd; ++i) {
+            const Segment& cs = segments_[found[i].get()];
+            for (SegNodeId end : {cs.a, cs.b}) {
+                for (SegmentId neighbour : incidence_[end.get()]) {
+                    if (std::find(found.begin(), found.end(), neighbour) == found.end()) {
+                        found.push_back(neighbour);
+                    }
+                }
+            }
+        }
+        levelBegin = levelEnd;
+    }
+    std::sort(found.begin(), found.end());
+    return found;
+}
+
 SegmentPath SegmentGraph::shortestPath(SegmentId from, SegmentId to) const {
     if (from == to) {
         return {from};

@@ -1,8 +1,8 @@
 /// \file segment_graph.hpp
 /// The discretized segment graph G=(V,E) of paper Sec. III-A and the graph
 /// algorithms the encoding needs: chains(l), paths(e,f,tr), between(e,f),
-/// hop distances (reachable(e,tr) is distance <= speed), and VSS section
-/// decomposition.
+/// hop distances and neighbourhoods (reachable(e,tr) is the neighbourhood of
+/// radius speed), and VSS section decomposition.
 ///
 /// Every track of the physical network is partitioned into segments of (at
 /// most) the spatial resolution r_s.  Segment-graph nodes are the candidate
@@ -110,6 +110,12 @@ public:
     /// written into `out` (one entry per segment): one row of the distance
     /// table, without holding the table. Each row equals `distance`.
     void distancesFrom(SegmentId source, std::span<int> out) const;
+
+    /// The segments at most `radius` hops from `source` (itself included), in
+    /// ascending id order: distancesFrom's row cut at `radius`, found by a BFS
+    /// that stops there. Its cost grows with the square of the result's size
+    /// and not with the graph's.
+    [[nodiscard]] std::vector<SegmentId> neighbourhood(SegmentId source, int radius) const;
 
     /// A shortest segment path between two segments (empty if disconnected);
     /// used by the simulator for route construction.

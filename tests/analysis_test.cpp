@@ -295,8 +295,8 @@ TEST_F(AnalysisFixture, SlackOnFinestLayoutMatchesPhysicalBounds) {
         // tightest arrival, bounded below by its unimpeded travel time.
         ASSERT_GE(report.tightestArrivalStep[r], 0);
         const auto& run = timed.runs()[r];
-        const int travel = timed.segmentDistance(run.originSegment,
-                                                 run.destination().segment);
+        const int travel =
+            timed.graph().distance(run.originSegment, run.destination().segment);
         const int bound =
             run.departureStep +
             rail::travelLowerBound(travel, run.lengthSegments, run.speedSegments);
@@ -422,6 +422,19 @@ TEST_F(AnalysisFixture, IndividualArrivalsRespectPriority) {
         assumptions.push_back(oneEarlier);
         EXPECT_EQ(backend->solve(assumptions), cnf::SolveStatus::Unsat);
     }
+}
+
+/// With every arrival frozen, the per-train objective minimizes sections as
+/// optimizeSchedule does after its completion search: the running example
+/// needs 5 sections (1 virtual border), not all 7 candidate borders.
+TEST_F(AnalysisFixture, IndividualArrivalsMinimizeSections) {
+    const auto result = optimizeIndividualArrivals(open);
+    ASSERT_TRUE(result.feasible);
+    EXPECT_EQ(result.doneSteps, (std::vector<int>{9, 7, 5, 9}));
+    EXPECT_EQ(result.solution->completionSteps, 9);
+    EXPECT_EQ(result.solution->sectionCount, 5);
+    EXPECT_EQ(result.solution->layout.virtualBorderCount(open.graph()), 1);
+    EXPECT_EQ(result.solution->sectionCount, optimizeSchedule(open).sectionCount);
 }
 
 TEST_F(AnalysisFixture, IndividualArrivalsWithReversedPriority) {

@@ -16,6 +16,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 
 #include "util/json.hpp"
 
@@ -636,6 +637,67 @@ TEST(EtcsCli, ExplainOnlyFlagsAreUsageErrorsOnTheTasks) {
     }
 }
 
+/// --dot draws a layout, which only generate and optimize find; --cnf and
+/// --pure shape a formula, which only encode and explain write. Given to any
+/// other command, each is a usage error that writes nothing, instead of a
+/// run that ignores it.
+TEST(EtcsCli, FlagsOfOtherCommandsAreUsageErrors) {
+    const std::string files = kData + "/quickstart.rail " + kData + "/quickstart.sched";
+    const std::string stem =
+        testing::TempDir() + "cli_test_misplaced." + std::to_string(::getpid());
+    const std::string dot = stem + ".dot";
+    const std::string cnf = stem + ".cnf";
+    const std::pair<const char*, std::string> cases[] = {
+        {"verify", "--dot " + dot},
+        {"verify", "--cnf " + cnf},
+        {"verify", "--pure"},
+        {"verify", "--dot " + dot + " --cnf " + cnf},
+        {"generate", "--cnf " + cnf},
+        {"generate", "--pure"},
+        {"generate", "--pure --cnf " + cnf},
+        {"optimize", "--cnf " + cnf},
+        {"optimize", "--pure"},
+        {"encode", "--cnf " + cnf + " --dot " + dot},
+        {"explain", "--dot " + dot},
+    };
+    for (const auto& [command, flags] : cases) {
+        SCOPED_TRACE(std::string(command) + " " + flags);
+        const auto result =
+            run(kEtcsCli + " " + command + " " + files + " --rs 500 --rt 30 " + flags);
+        EXPECT_EQ(result.exitCode, 2) << result.output;
+        EXPECT_NE(result.output.find("usage: etcs_cli"), std::string::npos) << result.output;
+        EXPECT_FALSE(std::ifstream(dot).is_open()) << "a usage error writes nothing";
+        EXPECT_FALSE(std::ifstream(cnf).is_open()) << "a usage error writes nothing";
+    }
+}
+
+/// Where --dot belongs it draws the layout the task found.
+TEST(EtcsCli, DotDrawsTheLayoutOfGenerateAndOptimize) {
+    // The running example with its arrivals left open, for optimize.
+    std::string open;
+    std::istringstream timed(fileText(kData + "/running_example.sched"));
+    for (std::string line; std::getline(timed, line);) {
+        const std::size_t arrival = line.find(" arr ");
+        open += line.substr(0, arrival) + "\n";
+    }
+    open += "horizon 0:05:00\n";
+    const std::string rail = kData + "/running_example.rail ";
+    const std::pair<const char*, std::string> cases[] = {
+        {"generate", rail + kData + "/running_example.sched"},
+        {"optimize", rail + writeSchedFile("cli_test_open_running", open)},
+    };
+    for (const auto& [command, files] : cases) {
+        SCOPED_TRACE(command);
+        const std::string dot = testing::TempDir() + "cli_test_" + command + "." +
+                                std::to_string(::getpid()) + ".dot";
+        const auto result =
+            run(kEtcsCli + " " + command + " " + files + " --rs 500 --rt 30 --dot " + dot);
+        EXPECT_EQ(result.exitCode, 0) << result.output;
+        EXPECT_EQ(fileText(dot).rfind("graph ", 0), 0U) << fileText(dot);
+        std::remove(dot.c_str());
+    }
+}
+
 TEST(SatSolveCli, RemovedSolveModeFlagsAreUsageErrors) {
     const std::string cnf =
         writeTempFile("sat_solve_removed_flags.cnf", "p cnf 2 2\n1 2 0\n-1 0\n");
@@ -703,8 +765,10 @@ std::string underTwoGigabytes(const std::string& command) {
 }
 
 /// data/quickstart.* with lineW lengthened to 200 km and both arrivals moved
-/// to 5:00: at r_s = 1 m about 204,000 segments, whose all-pairs distance
-/// table (core::Instance) would need about 166 GB.
+/// to 5:00: at r_s = 1 m about 204,000 segments and 301 steps. core::Instance
+/// holds them in a few MB, but the encoding's table of occupies literals
+/// alone takes about 0.5 GB, and the solver variables behind it do not fit
+/// in 2 GB.
 std::string longQuickstartFiles() {
     std::string rail = fileText(kData + "/quickstart.rail");
     const std::string lineW = "track lineW west loopIn 2000\n";

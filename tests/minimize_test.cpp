@@ -107,8 +107,10 @@ TEST_P(StrategyTest, CancelledProbeEndsTheSearch) {
         MinimizeResult cancelled{.feasible = true};
         EXPECT_NO_THROW(cancelled = run(cancelFrom));
         EXPECT_FALSE(cancelled.feasible);
+        EXPECT_TRUE(cancelled.cancelled);
         EXPECT_EQ(cancelled.solveCalls, cancelFrom);
     }
+    EXPECT_FALSE(uncancelled.cancelled);
 }
 
 TEST_P(StrategyTest, InfeasibleHardClausesReported) {
@@ -118,6 +120,7 @@ TEST_P(StrategyTest, InfeasibleHardClausesReported) {
     backend->addClause({~soft[0]});
     const auto result = minimizeTrueLiterals(*backend, soft, GetParam());
     EXPECT_FALSE(result.feasible);
+    EXPECT_FALSE(result.cancelled) << "UNSAT is not a cancelled search";
 }
 
 TEST_P(StrategyTest, EmptySoftSetIsPlainSolve) {

@@ -113,22 +113,26 @@ std::vector<DiscreteRun> lineRuns(const SegmentGraph& graph, const LineWorld& w)
         DiscreteRun pinned;
         pinned.originSegment = origin;
         pinned.speedSegments = 2;
-        pinned.stops.push_back({.segment = dest, .arrivalStep = 4, .dwellSteps = 2});
+        pinned.stops.push_back(
+            {.station = {}, .segment = dest, .arrivalStep = 4, .dwellSteps = 2});
         runs.push_back(pinned);
     }
     {
         DiscreteRun open;
         open.originSegment = origin;
         open.speedSegments = 2;
-        open.stops.push_back({.segment = dest, .dwellSteps = 1});
+        open.stops.push_back(
+            {.station = {}, .segment = dest, .arrivalStep = std::nullopt, .dwellSteps = 1});
         runs.push_back(open);
     }
     {
         DiscreteRun mixed;
         mixed.originSegment = origin;
         mixed.speedSegments = 2;
-        mixed.stops.push_back({.segment = middle, .arrivalStep = 2, .dwellSteps = 1});
-        mixed.stops.push_back({.segment = dest, .dwellSteps = 2});
+        mixed.stops.push_back(
+            {.station = {}, .segment = middle, .arrivalStep = 2, .dwellSteps = 1});
+        mixed.stops.push_back(
+            {.station = {}, .segment = dest, .arrivalStep = std::nullopt, .dwellSteps = 2});
         runs.push_back(mixed);
     }
     return runs;
@@ -186,7 +190,7 @@ TEST(Reach, PinnedRaysCarveNonConvexExclusions) {
     DiscreteRun slow;
     slow.originSegment = origin;
     slow.speedSegments = 1;
-    slow.stops.push_back({.segment = dest, .arrivalStep = 5, .dwellSteps = 1});
+    slow.stops.push_back({.station = {}, .segment = dest, .arrivalStep = 5, .dwellSteps = 1});
     const ReachAnalysis analysis(graph, std::vector{slow}, 10);
 
     EXPECT_FALSE(analysis.provablyInfeasible());

@@ -185,6 +185,41 @@ TEST(SegmentGraph, DistancesFromRowsEqualDistance) {
     EXPECT_THROW(lineGraph.distancesFrom(SegmentId(0u), tooShort), PreconditionError);
 }
 
+/// The bounded BFS is the full BFS row cut at the radius, in ascending id
+/// order, from every segment of the four paper graphs and at every radius up
+/// to the graph's diameter.
+TEST(SegmentGraph, NeighbourhoodIsTheDistanceRowCutAtTheRadius) {
+    for (const auto make : {&studies::runningExample, &studies::simpleLayout,
+                            &studies::complexLayout, &studies::nordlandsbanen}) {
+        const studies::CaseStudy study = make();
+        const SegmentGraph g(study.network, study.resolution);
+        SCOPED_TRACE(study.network.name());
+        std::vector<int> row(g.numSegments());
+        std::vector<std::vector<int>> rows;
+        int diameter = 0;
+        for (std::size_t from = 0; from < g.numSegments(); ++from) {
+            g.distancesFrom(SegmentId(from), row);
+            diameter = std::max(diameter, *std::max_element(row.begin(), row.end()));
+            rows.push_back(row);
+        }
+        for (int radius = 0; radius <= diameter; ++radius) {
+            for (std::size_t from = 0; from < g.numSegments(); ++from) {
+                std::vector<SegmentId> expected;
+                for (std::size_t to = 0; to < g.numSegments(); ++to) {
+                    if (rows[from][to] >= 0 && rows[from][to] <= radius) {
+                        expected.push_back(SegmentId(to));
+                    }
+                }
+                ASSERT_EQ(g.neighbourhood(SegmentId(from), radius), expected)
+                    << "from " << from << " within " << radius;
+            }
+        }
+    }
+    const Network line = lineNetwork();
+    EXPECT_THROW((void)SegmentGraph(line, kHalfKm).neighbourhood(SegmentId(0u), -1),
+                 PreconditionError);
+}
+
 TEST(SegmentGraph, ShortestPathEndpoints) {
     const Network n = lineNetwork();
     const SegmentGraph g(n, kHalfKm);

@@ -276,7 +276,7 @@ TEST(Tasks, CompletionBoundCountsTheTrainBody) {
     const DiscreteRun& run = wideInstance.runs()[0];
     ASSERT_EQ(run.lengthSegments, 9);
     ASSERT_EQ(run.speedSegments, 5);
-    ASSERT_EQ(wideInstance.segmentDistance(run.originSegment, run.destination().segment), 7);
+    ASSERT_EQ(wideInstance.graph().distance(run.originSegment, run.destination().segment), 7);
 
     for (const Instance* instance : {&wideInstance, &narrowInstance}) {
         SCOPED_TRACE(std::to_string(instance->horizonSteps()) + " steps");

@@ -49,7 +49,7 @@ TEST_F(ValidatorFixture, DetectsTeleportation) {
             const SegmentId here = occupied[t][0];
             // Find a segment farther than the train's speed.
             for (std::size_t s = 0; s < instance.graph().numSegments(); ++s) {
-                if (instance.segmentDistance(here, SegmentId(s)) >
+                if (instance.graph().distance(here, SegmentId(s)) >
                     instance.runs()[0].speedSegments) {
                     occupied[t + 1] = {SegmentId(s)};
                     const auto violations = validateSolution(instance, corrupted);
